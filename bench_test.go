@@ -166,6 +166,33 @@ func BenchmarkKernelLevenshteinMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelLevenshteinMatrixLongMixed runs the string kernel on long
+// mixed-script names: 40–160 runes drawn from ASCII, Latin-1, CJK and
+// astral-plane characters. Short ASCII entity names never reach the
+// multi-word carry chain or the non-ASCII mask table; these names spend
+// most of their time there.
+func BenchmarkKernelLevenshteinMatrixLongMixed(b *testing.B) {
+	b.ReportAllocs()
+	alphabet := []rune("abcdefghijklmnopqrstuvwxyz _-éèçñöü日本語の漢字中文𝔘🌍")
+	s := rng.New(11)
+	names := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			r := make([]rune, 40+s.Intn(121))
+			for k := range r {
+				r[k] = alphabet[s.Intn(len(alphabet))]
+			}
+			out[i] = string(r)
+		}
+		return out
+	}
+	src, tgt := names(300), names(300)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		strsim.Matrix(src, tgt)
+	}
+}
+
 func randomSim(n int, seed uint64) *mat.Dense {
 	s := rng.New(seed)
 	m := mat.NewDense(n, n)
@@ -490,6 +517,28 @@ func benchTrainEpoch(b *testing.B, serial bool) {
 
 func BenchmarkTrainEpochMedium(b *testing.B)       { benchTrainEpoch(b, false) }
 func BenchmarkTrainEpochSerialMedium(b *testing.B) { benchTrainEpoch(b, true) }
+
+// BenchmarkTrainEpochSteadyMedium times single steady-state epochs: one op
+// is one epoch of a (b.N+1)-epoch run, with the timer and the allocation
+// counters reset after the first epoch has allocated the forward buffers.
+// Under -benchmem it therefore reports what an epoch itself allocates
+// (checkpoint captures and hard-negative mining included, at their
+// default cadence).
+func BenchmarkTrainEpochSteadyMedium(b *testing.B) {
+	b.ReportAllocs()
+	in := benchInput(b)
+	cfg := gcn.DefaultConfig()
+	cfg.Dim = 32
+	cfg.Epochs = b.N + 1
+	cfg.Progress = func(epoch int, _ float64) {
+		if epoch == 0 {
+			b.ResetTimer()
+		}
+	}
+	if _, err := gcn.Train(in.G1, in.G2, in.Seeds, cfg); err != nil {
+		b.Fatal(err)
+	}
+}
 
 // ---- Serving-path benchmarks ----
 //

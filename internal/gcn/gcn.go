@@ -236,6 +236,10 @@ func gather(z *mat.Dense, ids []kg.EntityID) *mat.Dense {
 // graph bundles per-KG training state. The forward pass stores, per layer
 // l, the propagated input q[l] = Â·h_l and the pre-activation
 // pre[l] = q[l]·W_l; hidden layers apply ReLU, the output layer is linear.
+//
+// The forward buffers belong to the graph for the whole run: the first pass
+// allocates them and every later pass overwrites them in place, so an epoch
+// allocates no embedding-sized matrix of its own (DESIGN.md §18).
 type graph struct {
 	adj *mat.CSR
 	x   *mat.Dense // trainable input features
@@ -243,7 +247,8 @@ type graph struct {
 
 	q   []*mat.Dense // per-layer Â·input
 	pre []*mat.Dense // per-layer pre-activation
-	z   *mat.Dense   // final embeddings
+	act []*mat.Dense // per hidden layer: ReLU(pre[l]), the next layer's input
+	z   *mat.Dense   // final embeddings: pre[last], overwritten by the next pass
 }
 
 // Train learns structural embeddings for g1 and g2 aligned through the seed
@@ -300,7 +305,6 @@ type trainer struct {
 	cfg    Config
 	seeds  []align.Pair
 	ga, gb *graph
-	layers int
 
 	weights []*mat.Dense
 	opt     *optState
@@ -319,7 +323,7 @@ func newTrainer(g1, g2 *kg.KG, seeds []align.Pair, cfg Config) (*trainer, error)
 	if layers <= 0 {
 		layers = 2
 	}
-	t := &trainer{cfg: cfg, seeds: seeds, layers: layers, lr: cfg.LearningRate}
+	t := &trainer{cfg: cfg, seeds: seeds, lr: cfg.LearningRate}
 	t.ga = &graph{adj: g1.Adjacency(), n: g1.NumEntities()}
 	t.gb = &graph{adj: g2.Adjacency(), n: g2.NumEntities()}
 
@@ -448,41 +452,8 @@ func (t *trainer) run(ctx context.Context) (*Model, error) {
 		epochSpan := trainSpan.StartChild("epoch")
 		epochStart := epochHist.Time()
 		epoch := t.epoch
-		forwardMode(t.ga, t.weights, cfg.ForceSerial)
-		forwardMode(t.gb, t.weights, cfg.ForceSerial)
-
-		if cfg.HardNegativeEvery > 0 && epoch%cfg.HardNegativeEvery == 0 && epoch > 0 {
-			t.pools = mineNegatives(t.ga.z, t.gb.z, t.seeds, cfg.HardNegativePool)
-		}
-
-		// The full-embedding-sized loss gradients live only within this
-		// epoch: draw them from the pooled scratch arena instead of
-		// re-allocating two n×dim matrices every epoch.
-		gz1 := mat.GetDense(t.ga.n, cfg.Dim)
-		gz2 := mat.GetDense(t.gb.n, cfg.Dim)
-		lossFn := accumulateLoss
-		if cfg.ForceSerial {
-			lossFn = accumulateLossSerial
-		}
-		loss := lossFn(t.ga.z, t.gb.z, t.seeds, cfg, t.negSrc, t.pools, gz1, gz2)
-		if robust.Fire(FaultLoss) != nil {
-			loss = math.NaN() // injected numeric fault: corrupt the epoch loss
-		}
-
-		gwA, gx1 := backwardMode(t.ga, t.weights, gz1, cfg.ForceSerial)
-		gwB, gx2 := backwardMode(t.gb, t.weights, gz2, cfg.ForceSerial)
-		mat.PutDense(gz1) // backward never returns gz as a gradient
-		mat.PutDense(gz2)
-		grads := make([]*mat.Dense, t.layers)
-		for l := range grads {
-			grads[l] = gwA[l]
-			grads[l].AddInPlace(gwB[l])
-		}
-		if !cfg.FreezeX {
-			grads = append(grads, gx1, gx2)
-		}
-
-		if err := t.checkHealth(epoch, loss, grads); err != nil {
+		loss, err := t.step()
+		if err != nil {
 			epochSpan.End()
 			epochStart()
 			reg.Counter("gcn.divergences").Inc()
@@ -492,7 +463,6 @@ func (t *trainer) run(ctx context.Context) (*Model, error) {
 			reg.Counter("gcn.recoveries").Inc()
 			continue // re-run from the restored epoch
 		}
-		t.opt.step(grads, t.lr)
 		t.epoch++
 		epochSpan.End()
 		epochStart()
@@ -513,7 +483,60 @@ func (t *trainer) run(ctx context.Context) (*Model, error) {
 
 	forwardMode(t.ga, t.weights, cfg.ForceSerial)
 	forwardMode(t.gb, t.weights, cfg.ForceSerial)
+	// The model takes the final pass's output buffers; the trainer ends
+	// here, so nothing overwrites them afterwards.
 	return &Model{Z1: t.ga.z, Z2: t.gb.z}, nil
+}
+
+// step runs one epoch at t.epoch: forward passes, optional hard-negative
+// mining, loss, backward passes and — when the loss and gradients are
+// healthy — the optimizer update. It returns the summed loss, or the health
+// error that kept the update from being applied. Every epoch-local matrix is
+// drawn from the scratch arena and returned to it before step returns.
+func (t *trainer) step() (float64, error) {
+	cfg := t.cfg
+	forwardMode(t.ga, t.weights, cfg.ForceSerial)
+	forwardMode(t.gb, t.weights, cfg.ForceSerial)
+
+	if cfg.HardNegativeEvery > 0 && t.epoch%cfg.HardNegativeEvery == 0 && t.epoch > 0 {
+		t.pools = mineNegatives(t.ga.z, t.gb.z, t.seeds, cfg.HardNegativePool)
+	}
+
+	gz1 := mat.GetDense(t.ga.n, cfg.Dim)
+	gz2 := mat.GetDense(t.gb.n, cfg.Dim)
+	lossFn := accumulateLoss
+	if cfg.ForceSerial {
+		lossFn = accumulateLossSerial
+	}
+	loss := lossFn(t.ga.z, t.gb.z, t.seeds, cfg, t.negSrc, t.pools, gz1, gz2)
+	if robust.Fire(FaultLoss) != nil {
+		loss = math.NaN() // injected numeric fault: corrupt the epoch loss
+	}
+
+	gwA, gx1 := backwardMode(t.ga, t.weights, gz1, cfg.ForceSerial)
+	gwB, gx2 := backwardMode(t.gb, t.weights, gz2, cfg.ForceSerial)
+	mat.PutDense(gz1) // backward never returns gz as a gradient
+	mat.PutDense(gz2)
+	grads := make([]*mat.Dense, 0, len(gwA)+2)
+	for l, g := range gwA {
+		g.AddInPlace(gwB[l])
+		mat.PutDense(gwB[l])
+		grads = append(grads, g)
+	}
+	grads = append(grads, gx1, gx2)
+	params := grads
+	if cfg.FreezeX {
+		params = grads[:len(gwA)]
+	}
+
+	err := t.checkHealth(t.epoch, loss, params)
+	if err == nil {
+		t.opt.step(params, t.lr)
+	}
+	for _, g := range grads {
+		mat.PutDense(g)
+	}
+	return loss, err
 }
 
 // checkHealth validates the epoch's loss and gradients before they are
@@ -609,27 +632,37 @@ func forward(g *graph, weights []*mat.Dense) { forwardMode(g, weights, false) }
 
 // forwardMode is forward with an explicit kernel mode: serial routes the
 // propagation step through the retained serial SpMM reference, which the
-// parallel kernel reproduces bit for bit (Config.ForceSerial).
+// parallel kernel reproduces bit for bit (Config.ForceSerial). Every pass
+// overwrites the graph's forward buffers, allocating them on the first.
 func forwardMode(g *graph, weights []*mat.Dense, serial bool) {
 	layers := len(weights)
-	g.q = make([]*mat.Dense, layers)
-	g.pre = make([]*mat.Dense, layers)
+	if len(g.q) != layers {
+		g.q = make([]*mat.Dense, layers)
+		g.pre = make([]*mat.Dense, layers)
+		g.act = make([]*mat.Dense, layers-1)
+		for l, w := range weights {
+			g.q[l] = mat.NewDense(g.adj.Rows, w.Rows)
+			g.pre[l] = mat.NewDense(g.adj.Rows, w.Cols)
+			if l < layers-1 {
+				g.act[l] = mat.NewDense(g.adj.Rows, w.Cols)
+			}
+		}
+	}
 	h := g.x
 	for l, w := range weights {
 		if serial {
-			g.q[l] = g.adj.NaiveMulDense(h)
+			g.adj.NaiveMulDenseInto(g.q[l], h)
 		} else {
-			g.q[l] = g.adj.MulDense(h)
+			g.adj.MulDenseInto(g.q[l], h)
 		}
-		g.pre[l] = mat.Mul(g.q[l], w)
+		mat.MulInto(g.pre[l], g.q[l], w)
 		if l < layers-1 {
-			h = g.pre[l].Clone()
+			h = g.act[l]
+			copy(h.Data, g.pre[l].Data)
 			h.ReLUInPlace()
-		} else {
-			h = g.pre[l]
 		}
 	}
-	g.z = h
+	g.z = g.pre[layers-1]
 }
 
 // negPools holds mined hard negatives: for seed i, pool2[i] are target-KG
@@ -641,15 +674,25 @@ type negPools struct {
 
 // mineNegatives finds, for each seed pair, the currently most-similar wrong
 // entities on both sides via cosine similarity of the current embeddings.
+//
+// Both seeds×n similarity matrices are the largest buffers of a mining epoch
+// and die as soon as their top-k lists are taken, so they come from the
+// scratch arena (as do the gathered seed embeddings).
 func mineNegatives(z1, z2 *mat.Dense, seeds []align.Pair, poolSize int) *negPools {
 	if poolSize <= 0 {
 		poolSize = 10
 	}
-	u := gather(z1, align.SourceIDs(seeds))
-	v := gather(z2, align.TargetIDs(seeds))
+	u := mat.GetDense(len(seeds), z1.Cols)
+	v := mat.GetDense(len(seeds), z2.Cols)
+	for i, sd := range seeds {
+		copy(u.Row(i), z1.Row(int(sd.U)))
+		copy(v.Row(i), z2.Row(int(sd.V)))
+	}
 	// +1 so dropping the true counterpart still leaves poolSize entries.
-	top2 := mat.TopKRow(mat.CosineSim(u, z2), poolSize+1)
-	top1 := mat.TopKRow(mat.CosineSim(v, z1), poolSize+1)
+	top2 := topKCosine(u, z2, poolSize+1)
+	top1 := topKCosine(v, z1, poolSize+1)
+	mat.PutDense(u)
+	mat.PutDense(v)
 	p := &negPools{pool1: make([][]int, len(seeds)), pool2: make([][]int, len(seeds))}
 	for i, sd := range seeds {
 		for _, c := range top2[i] {
@@ -674,6 +717,15 @@ func mineNegatives(z1, z2 *mat.Dense, seeds []align.Pair, poolSize int) *negPool
 		}
 	}
 	return p
+}
+
+// topKCosine returns, per row of a, the k rows of b most cosine-similar to
+// it, computing the similarities into a pooled buffer released afterwards.
+func topKCosine(a, b *mat.Dense, k int) [][]int {
+	sim := mat.CosineSimInto(mat.GetDense(a.Rows, b.Rows), a, b)
+	top := mat.TopKRow(sim, k)
+	mat.PutDense(sim)
+	return top
 }
 
 func l1(a, b []float64) float64 {
@@ -702,6 +754,11 @@ func backward(g *graph, weights []*mat.Dense, gz *mat.Dense) (gw []*mat.Dense, g
 
 // backwardMode is backward with an explicit kernel mode: serial routes the
 // Âᵀ·G step through the retained serial SpMM reference (Config.ForceSerial).
+//
+// Buffer ownership: gz stays the caller's. Every other matrix of the pass —
+// ∂q, each hidden ∂h, the returned weight gradients and ∂X — comes from the
+// scratch arena; the intermediates are released here, and the caller
+// releases the returned gradients once the optimizer has consumed them.
 func backwardMode(g *graph, weights []*mat.Dense, gz *mat.Dense, serial bool) (gw []*mat.Dense, gx *mat.Dense) {
 	layers := len(weights)
 	gw = make([]*mat.Dense, layers)
@@ -709,12 +766,11 @@ func backwardMode(g *graph, weights []*mat.Dense, gz *mat.Dense, serial bool) (g
 	// output; at the top it is ∂L/∂Z.
 	ghNext := gz
 	for l := layers - 1; l >= 0; l-- {
-		// Non-final layers apply ReLU after pre[l]; the masked copy is an
-		// epoch-local temporary, so it comes from the pooled arena.
+		// Non-final layers apply ReLU after pre[l]. Below the top, ghNext is
+		// this pass's own arena buffer and dead after this layer, so the
+		// mask is applied in place.
 		dpre := ghNext
 		if l < layers-1 {
-			dpre = mat.GetDense(ghNext.Rows, ghNext.Cols)
-			copy(dpre.Data, ghNext.Data)
 			for i, v := range g.pre[l].Data {
 				if v <= 0 {
 					dpre.Data[i] = 0
@@ -722,17 +778,20 @@ func backwardMode(g *graph, weights []*mat.Dense, gz *mat.Dense, serial bool) (g
 			}
 		}
 		// pre[l] = q[l]·W_l  =>  ∂W_l = q[l]ᵀ·dpre ; ∂q[l] = dpre·W_lᵀ.
-		gw[l] = mat.TMul(g.q[l], dpre)
-		gq := mat.MulT(dpre, weights[l])
-		if dpre != ghNext {
+		q, w := g.q[l], weights[l]
+		gw[l] = mat.TMulInto(mat.GetDense(q.Cols, dpre.Cols), q, dpre)
+		gq := mat.MulTInto(mat.GetDense(dpre.Rows, w.Rows), dpre, w)
+		if dpre != gz {
 			mat.PutDense(dpre)
 		}
 		// q[l] = Â·h_l  =>  ∂h_l = Âᵀ·gq.
+		ghNext = mat.GetDense(g.adj.Cols, gq.Cols)
 		if serial {
-			ghNext = g.adj.NaiveTMulDense(gq)
+			g.adj.NaiveTMulDenseInto(ghNext, gq)
 		} else {
-			ghNext = g.adj.TMulDense(gq)
+			g.adj.TMulDenseInto(ghNext, gq)
 		}
+		mat.PutDense(gq)
 	}
 	gx = ghNext
 	return gw, gx

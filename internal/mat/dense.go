@@ -102,28 +102,51 @@ func checkTMul(a, b *Dense) {
 	}
 }
 
+// checkDst panics unless dst is rows×cols: the Into kernels overwrite a
+// caller-owned destination and never resize it.
+func checkDst(dst *Dense, rows, cols int) {
+	if dst.Rows != rows || dst.Cols != cols {
+		panic(fmt.Sprintf("mat: destination %dx%d, want %dx%d", dst.Rows, dst.Cols, rows, cols))
+	}
+}
+
 // Mul returns a·b, cache-tiled (see tile.go) and parallelized across row
 // blocks. Bit-identical to NaiveMul.
 func Mul(a, b *Dense) *Dense {
+	return MulInto(NewDense(a.Rows, b.Cols), a, b)
+}
+
+// MulInto computes a·b into dst (a.Rows×b.Cols) and returns dst, for callers
+// that reuse one destination across calls. Every element of dst is
+// overwritten; dst must not alias a or b. Bits are those of Mul.
+func MulInto(dst, a, b *Dense) *Dense {
 	checkMul(a, b)
+	checkDst(dst, a.Rows, b.Cols)
 	defer kernelDone("mul", kernelStart())
-	out := NewDense(a.Rows, b.Cols)
 	parallelRows(a.Rows, func(lo, hi int) {
-		mulBlock(a, b, out, lo, hi)
+		clear(dst.Data[lo*dst.Cols : hi*dst.Cols])
+		mulBlock(a, b, dst, lo, hi)
 	})
-	return out
+	return dst
 }
 
 // MulT returns a·bᵀ without materializing the transpose, cache-tiled with a
 // register-blocked four-column inner kernel. Bit-identical to NaiveMulT.
 func MulT(a, b *Dense) *Dense {
+	return MulTInto(NewDense(a.Rows, b.Rows), a, b)
+}
+
+// MulTInto computes a·bᵀ into dst (a.Rows×b.Rows) and returns dst. Every
+// element of dst is overwritten; dst must not alias a or b. Bits are those
+// of MulT.
+func MulTInto(dst, a, b *Dense) *Dense {
 	checkMulT(a, b)
+	checkDst(dst, a.Rows, b.Rows)
 	defer kernelDone("mult", kernelStart())
-	out := NewDense(a.Rows, b.Rows)
 	parallelRows(a.Rows, func(lo, hi int) {
-		mulTBlock(a, b, out, lo, hi)
+		mulTBlock(a, b, dst, lo, hi)
 	})
-	return out
+	return dst
 }
 
 // TMul returns aᵀ·b without materializing the transpose. The parallel
@@ -131,15 +154,25 @@ func MulT(a, b *Dense) *Dense {
 // order after every worker finishes, never in goroutine-completion order —
 // float addition is not associative, so merge order would otherwise leak
 // scheduling noise into the result bits (and break the pipeline's
-// bit-for-bit repeatability contract).
+// bit-for-bit repeatability contract). The block partition follows
+// runtime.NumCPU(), so the bits are fixed per core count, not across core
+// counts (DESIGN.md §18).
 func TMul(a, b *Dense) *Dense {
+	return TMulInto(NewDense(a.Cols, b.Cols), a, b)
+}
+
+// TMulInto computes aᵀ·b into dst (a.Cols×b.Cols) and returns dst. Every
+// element of dst is overwritten; dst must not alias a or b. Bits are those
+// of TMul.
+func TMulInto(dst, a, b *Dense) *Dense {
 	checkTMul(a, b)
+	checkDst(dst, a.Cols, b.Cols)
 	defer kernelDone("tmul", kernelStart())
-	out := NewDense(a.Cols, b.Cols)
+	dst.Zero()
 	workers := runtime.NumCPU()
 	if a.Rows < 64 || workers <= 1 {
-		tmulBlock(a, b, out, 0, a.Rows)
-		return out
+		tmulBlock(a, b, dst, 0, a.Rows)
+		return dst
 	}
 	if workers > a.Rows {
 		workers = a.Rows
@@ -166,10 +199,10 @@ func TMul(a, b *Dense) *Dense {
 	}
 	wg.Wait()
 	for _, local := range locals {
-		out.AddInPlace(local)
+		dst.AddInPlace(local)
 		PutDense(local)
 	}
-	return out
+	return dst
 }
 
 // Transpose returns mᵀ.

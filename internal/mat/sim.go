@@ -19,43 +19,46 @@ import (
 // NaiveCosineSim to absolute 1e-12 (reciprocal-multiply vs divide rounding)
 // and are bit-reproducible run-to-run.
 func CosineSim(a, b *Dense) *Dense {
-	checkMulT(a, b)
-	defer kernelDone("cosine", kernelStart())
-	out := NewDense(a.Rows, b.Rows)
-	inv := GetScratch(a.Rows + b.Rows) // one pooled buffer for both norm vectors
-	invA, invB := inv[:a.Rows], inv[a.Rows:]
-	fillInvNorms(a, invA)
-	fillInvNorms(b, invB)
-	parallelRows(a.Rows, func(lo, hi int) {
-		buf := GetScratch(a.Cols)
-		cosineBlock(a, b, out, invA, invB, buf, lo, hi)
-		PutScratch(buf)
-	})
-	PutScratch(inv)
-	return out
+	return CosineSimInto(NewDense(a.Rows, b.Rows), a, b)
+}
+
+// CosineSimInto computes CosineSim(a, b) into dst (a.Rows×b.Rows) and
+// returns dst — e.g. into a pooled GetDense buffer that is released once the
+// similarities are consumed. Every element of dst is overwritten; dst must
+// not alias a or b. Bits are those of CosineSim.
+func CosineSimInto(dst, a, b *Dense) *Dense {
+	cosineInto(nil, dst, a, b) // a nil ctx never cancels
+	return dst
 }
 
 // CosineSimCtx is CosineSim with cooperative cancellation of the underlying
 // parallel product. On cancellation the partial result is discarded and
 // ctx's error is returned.
 func CosineSimCtx(ctx context.Context, a, b *Dense) (*Dense, error) {
-	checkMulT(a, b)
-	defer kernelDone("cosine", kernelStart())
 	out := NewDense(a.Rows, b.Rows)
-	inv := GetScratch(a.Rows + b.Rows)
+	if err := cosineInto(ctx, out, a, b); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// cosineInto is the one fused cosine kernel behind CosineSim, CosineSimInto
+// and CosineSimCtx; a nil ctx runs it uncancellable.
+func cosineInto(ctx context.Context, dst, a, b *Dense) error {
+	checkMulT(a, b)
+	checkDst(dst, a.Rows, b.Rows)
+	defer kernelDone("cosine", kernelStart())
+	inv := GetScratch(a.Rows + b.Rows) // one pooled buffer for both norm vectors
 	invA, invB := inv[:a.Rows], inv[a.Rows:]
 	fillInvNorms(a, invA)
 	fillInvNorms(b, invB)
 	err := ParallelRowsCtx(ctx, a.Rows, func(lo, hi int) {
 		buf := GetScratch(a.Cols)
-		cosineBlock(a, b, out, invA, invB, buf, lo, hi)
+		cosineBlock(a, b, dst, invA, invB, buf, lo, hi)
 		PutScratch(buf)
 	})
 	PutScratch(inv)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return err
 }
 
 // MulTCtx is MulT with cooperative cancellation between row chunks.

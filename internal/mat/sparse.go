@@ -93,27 +93,42 @@ func (s *CSR) NNZ() int { return len(s.Val) }
 // same per-element chain as NaiveMulDense, so the result is bit-identical
 // to the serial reference at any worker count.
 func (s *CSR) MulDense(d *Dense) *Dense {
+	return s.MulDenseInto(NewDense(s.Rows, d.Cols), d)
+}
+
+// MulDenseInto computes s·d into dst (s.Rows×d.Cols) and returns dst. Every
+// element of dst is overwritten; dst must not alias d. Bits are those of
+// MulDense.
+func (s *CSR) MulDenseInto(dst, d *Dense) *Dense {
+	s.checkMulDense(dst, d)
+	defer kernelDone("csr_mul", kernelStart())
+	parallelRows(s.Rows, func(lo, hi int) {
+		mulDenseRows(s, d, dst, lo, hi)
+	})
+	return dst
+}
+
+func (s *CSR) checkMulDense(dst, d *Dense) {
 	if s.Cols != d.Rows {
 		panic(fmt.Sprintf("mat: CSR mul dimension mismatch %dx%d · %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
 	}
-	defer kernelDone("csr_mul", kernelStart())
-	out := NewDense(s.Rows, d.Cols)
-	parallelRows(s.Rows, func(lo, hi int) {
-		mulDenseRows(s, d, out, lo, hi)
-	})
-	return out
+	checkDst(dst, s.Rows, d.Cols)
 }
 
-// mulDenseRows fills output rows [lo, hi) of s·d.
+func (s *CSR) checkTMulDense(dst, d *Dense) {
+	if s.Rows != d.Rows {
+		panic(fmt.Sprintf("mat: CSR tmul dimension mismatch (%dx%d)ᵀ · %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
+	}
+	checkDst(dst, s.Cols, d.Cols)
+}
+
+// mulDenseRows overwrites output rows [lo, hi) with those of s·d.
 func mulDenseRows(s *CSR, d, out *Dense, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		or := out.Row(i)
+		clear(or)
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			v := s.Val[p]
-			dr := d.Row(s.ColIdx[p])
-			for j, dv := range dr {
-				or[j] += v * dv
-			}
+			axpy(s.Val[p], d.Row(s.ColIdx[p]), or)
 		}
 	}
 }
@@ -163,25 +178,26 @@ func (s *CSR) transpose() {
 // rows are disjoint across workers, so the result is bit-identical to the
 // serial reference at any worker count, with no merge step.
 func (s *CSR) TMulDense(d *Dense) *Dense {
-	if s.Rows != d.Rows {
-		panic(fmt.Sprintf("mat: CSR tmul dimension mismatch (%dx%d)ᵀ · %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
-	}
+	return s.TMulDenseInto(NewDense(s.Cols, d.Cols), d)
+}
+
+// TMulDenseInto computes sᵀ·d into dst (s.Cols×d.Cols) and returns dst.
+// Every element of dst is overwritten; dst must not alias d. Bits are those
+// of TMulDense.
+func (s *CSR) TMulDenseInto(dst, d *Dense) *Dense {
+	s.checkTMulDense(dst, d)
 	defer kernelDone("csr_tmul", kernelStart())
 	s.tOnce.Do(s.transpose)
-	out := NewDense(s.Cols, d.Cols)
 	parallelRows(s.Cols, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
-			or := out.Row(c)
+			or := dst.Row(c)
+			clear(or)
 			for q := s.tColPtr[c]; q < s.tColPtr[c+1]; q++ {
-				v := s.tVal[q]
-				dr := d.Row(s.tRowIdx[q])
-				for j, dv := range dr {
-					or[j] += v * dv
-				}
+				axpy(s.tVal[q], d.Row(s.tRowIdx[q]), or)
 			}
 		}
 	})
-	return out
+	return dst
 }
 
 // NaiveMulDense is the retained serial reference for MulDense: a plain
@@ -189,33 +205,40 @@ func (s *CSR) TMulDense(d *Dense) *Dense {
 // KernelSpMM*Naive benchmarks compare the parallel kernels against it for
 // bit equality.
 func (s *CSR) NaiveMulDense(d *Dense) *Dense {
-	if s.Cols != d.Rows {
-		panic(fmt.Sprintf("mat: CSR mul dimension mismatch %dx%d · %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
-	}
-	out := NewDense(s.Rows, d.Cols)
-	mulDenseRows(s, d, out, 0, s.Rows)
-	return out
+	return s.NaiveMulDenseInto(NewDense(s.Rows, d.Cols), d)
+}
+
+// NaiveMulDenseInto is NaiveMulDense into a caller-owned dst, overwritten
+// entirely; dst must not alias d.
+func (s *CSR) NaiveMulDenseInto(dst, d *Dense) *Dense {
+	s.checkMulDense(dst, d)
+	mulDenseRows(s, d, dst, 0, s.Rows)
+	return dst
 }
 
 // NaiveTMulDense is the retained serial reference for TMulDense: the
 // sequential scatter over sparse rows that the pre-parallel implementation
 // used. TMulDense must agree with it bit for bit.
 func (s *CSR) NaiveTMulDense(d *Dense) *Dense {
-	if s.Rows != d.Rows {
-		panic(fmt.Sprintf("mat: CSR tmul dimension mismatch (%dx%d)ᵀ · %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
-	}
-	out := NewDense(s.Cols, d.Cols)
+	return s.NaiveTMulDenseInto(NewDense(s.Cols, d.Cols), d)
+}
+
+// NaiveTMulDenseInto is NaiveTMulDense into a caller-owned dst, overwritten
+// entirely; dst must not alias d.
+func (s *CSR) NaiveTMulDenseInto(dst, d *Dense) *Dense {
+	s.checkTMulDense(dst, d)
+	dst.Zero()
 	for i := 0; i < s.Rows; i++ {
 		dr := d.Row(i)
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
 			v := s.Val[p]
-			or := out.Row(s.ColIdx[p])
+			or := dst.Row(s.ColIdx[p])
 			for j, dv := range dr {
 				or[j] += v * dv
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // ToDense expands the sparse matrix; intended for tests on small inputs.

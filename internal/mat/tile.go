@@ -52,6 +52,26 @@ func dot4(ar, b0, b1, b2, b3 []float64) (s0, s1, s2, s3 float64) {
 	return s0, s1, s2, s3
 }
 
+// axpy adds a·x[j] to y[j] for every j < len(x), four elements per
+// iteration. Each y[j] still receives exactly one a·x[j] addition, so the
+// result is bit-identical to the plain loop; the unrolling only keeps the
+// loop from being bound by instruction fetch.
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	j := 0
+	for ; j+4 <= len(x); j += 4 {
+		xs := x[j : j+4 : j+4]
+		ys := y[j : j+4 : j+4]
+		ys[0] += a * xs[0]
+		ys[1] += a * xs[1]
+		ys[2] += a * xs[2]
+		ys[3] += a * xs[3]
+	}
+	for ; j < len(x); j++ {
+		y[j] += a * x[j]
+	}
+}
+
 // mulTBlock fills rows [lo, hi) of out = a·bᵀ with 2-D tiling: an a-tile of
 // tileRows rows stays hot while b-tiles of tileCols rows stream through it,
 // four output columns per inner pass.
@@ -106,10 +126,7 @@ func mulBlock(a, b, out *Dense, lo, hi int) {
 					if av == 0 {
 						continue
 					}
-					br := b.Row(kk + k)[jj:jhi]
-					for j, bv := range br {
-						or[j] += av * bv
-					}
+					axpy(av, b.Row(kk + k)[jj:jhi], or)
 				}
 			}
 		}
@@ -134,10 +151,7 @@ func tmulBlock(a, b, dst *Dense, lo, hi int) {
 				if av == 0 {
 					continue
 				}
-				dr := dst.Row(i)[jj:jhi]
-				for j, bv := range br {
-					dr[j] += av * bv
-				}
+				axpy(av, br, dst.Row(i)[jj:jhi])
 			}
 		}
 	}
@@ -167,7 +181,8 @@ func fillInvNorms(m *Dense, inv []float64) {
 // cosineBlock fills rows [lo, hi) of out with cos(a_i, b_j) using the
 // precomputed reciprocal norms: row i of a is scaled once into buf (len
 // a.Cols), dotted against raw b rows tile by tile, and each dot is scaled by
-// invB[j]. Rows or columns with zero reciprocal norm yield exactly 0.
+// invB[j]. Rows or columns with zero reciprocal norm yield exactly 0. Every
+// element of the row range is written, so out need not start zeroed.
 func cosineBlock(a, b, out *Dense, invA, invB, buf []float64, lo, hi int) {
 	rt, ct := tileRows, tileCols
 	for ii := lo; ii < hi; ii += rt {
@@ -181,15 +196,16 @@ func cosineBlock(a, b, out *Dense, invA, invB, buf []float64, lo, hi int) {
 				jhi = b.Rows
 			}
 			for i := ii; i < ihi; i++ {
+				or := out.Row(i)
 				ia := invA[i]
 				if ia == 0 {
-					continue // out row stays zero
+					clear(or[jj:jhi]) // no signal: similarity 0
+					continue
 				}
 				ar := a.Row(i)
 				for d, v := range ar {
 					buf[d] = v * ia
 				}
-				or := out.Row(i)
 				j := jj
 				for ; j+4 <= jhi; j += 4 {
 					s0, s1, s2, s3 := dot4(buf, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))

@@ -2,12 +2,14 @@ package strsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
 // FuzzStrsimRatio checks the Levenshtein-ratio invariants on arbitrary
 // (including invalid-UTF-8) string pairs: range [0,1], symmetry, identity,
-// agreement with the paper's formula over DistanceSub2, and ratio 1 only
+// agreement with the paper's formula over DistanceSub2, agreement of the
+// bit-parallel lev* kernel with the naive per-cell DP, and ratio 1 only
 // for rune-equal inputs. Rune equality, not byte equality: distinct invalid
 // byte sequences all decode to U+FFFD and legitimately compare identical.
 func FuzzStrsimRatio(f *testing.F) {
@@ -19,6 +21,7 @@ func FuzzStrsimRatio(f *testing.F) {
 		{"北京", "北京市"},
 		{"entity one", "one entity"},
 		{"\xff", "\xfe"},
+		{strings.Repeat("ab", 40), strings.Repeat("ba", 33)},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
@@ -42,9 +45,17 @@ func FuzzStrsimRatio(f *testing.F) {
 			}
 			return
 		}
-		want := float64(total-DistanceSub2(a, b)) / float64(total)
+		d := DistanceSub2(a, b)
+		want := float64(total-d) / float64(total)
 		if r != want {
 			t.Fatalf("Ratio(%q, %q) = %v, formula gives %v", a, b, r, want)
+		}
+		// The bit-parallel kernel must agree with the per-cell DP; bound the
+		// O(|a|·|b|) oracle so long fuzz inputs stay fast.
+		if len(ra)*len(rb) <= 1<<16 {
+			if ref := naiveDistance(ra, rb, 2); d != ref {
+				t.Fatalf("DistanceSub2(%q, %q) = %d, naive DP = %d", a, b, d, ref)
+			}
 		}
 		if r == 1 && string(ra) != string(rb) {
 			t.Fatalf("Ratio(%q, %q) = 1 for rune-distinct strings", a, b)

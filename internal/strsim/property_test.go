@@ -8,8 +8,8 @@ import (
 )
 
 // naiveDistance is the textbook O(n·m) full-matrix Levenshtein dynamic
-// program, parameterized by substitution cost — the reference the two-row
-// production implementation is cross-checked against.
+// program, parameterized by substitution cost — the reference both the
+// unit-cost two-row DP and the bit-parallel lev* kernel are checked against.
 func naiveDistance(a, b []rune, subCost int) int {
 	la, lb := len(a), len(b)
 	d := make([][]int, la+1)
@@ -71,14 +71,18 @@ func TestDistancePropertyRandom(t *testing.T) {
 		b := randString(s, alphabet, 24)
 		ra, rb := []rune(a), []rune(b)
 
-		for _, subCost := range []int{1, 2} {
-			got := distance(ra, rb, subCost)
+		for _, c := range []struct {
+			subCost int
+			dist    func(a, b string) int
+		}{{1, Distance}, {2, DistanceSub2}} {
+			subCost, dist := c.subCost, c.dist
+			got := dist(a, b)
 			want := naiveDistance(ra, rb, subCost)
 			if got != want {
 				t.Fatalf("pair %d (subCost %d): distance(%q, %q) = %d, reference = %d",
 					i, subCost, a, b, got, want)
 			}
-			if sym := distance(rb, ra, subCost); sym != got {
+			if sym := dist(b, a); sym != got {
 				t.Fatalf("pair %d (subCost %d): asymmetric: d(a,b)=%d d(b,a)=%d", i, subCost, got, sym)
 			}
 		}
