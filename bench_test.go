@@ -545,9 +545,8 @@ func BenchmarkTrainEpochSteadyMedium(b *testing.B) {
 // The BenchmarkServeAlign* family drives the daemon's HTTP handler with
 // 64 concurrent clients issuing single-source align queries over a 512 x
 // 4096 engine — large enough that answering from scratch does real work.
-// Legacy is the pre-coalescing configuration (no batching, no cache,
-// encoding/json); HeavyTraffic is the production default (coalescing +
-// versioned cache + arena encoder). One benchmark op is a full sweep of
+// ZeroAlloc is the pre-coalescing configuration (no batching, no cache);
+// HeavyTraffic is the production default (coalescing + versioned cache). One benchmark op is a full sweep of
 // benchServeOps requests, so the suite stays meaningful at the 3x
 // benchtime the regression gate uses (per-request timing at 3 iterations
 // would measure nothing but warm-up). The CI benchdiff gate watches
@@ -641,12 +640,6 @@ func benchServeAlign(b *testing.B, tune func(*serve.Config)) {
 	b.ReportMetric(float64(b.N)*benchServeOps/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkServeAlignLegacy is the pre-PR8 request path: every query runs
-// the collective decision and marshals through encoding/json.
-func BenchmarkServeAlignLegacy(b *testing.B) {
-	benchServeAlign(b, func(cfg *serve.Config) { cfg.StdlibEncode = true })
-}
-
 // BenchmarkServeAlignZeroAlloc isolates the arena encoder: same uncached,
 // uncoalesced path, bytes built in pooled scratch.
 func BenchmarkServeAlignZeroAlloc(b *testing.B) {
@@ -723,13 +716,13 @@ func (w *nullResponseWriter) Header() http.Header {
 func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
-// benchServeEncode pins the response-encoding cost alone: a 64-decision
+// BenchmarkServeEncodeArena pins the response-encoding cost alone: a 64-decision
 // response over an instant aligner, caching and coalescing off, with a
 // reused request object and a discarding writer so per-op allocations are
-// the handler's own (decode + align copy + encode). The allocs/op delta
-// between the two variants is the arena encoder's contribution to the
-// response path.
-func benchServeEncode(b *testing.B, stdlib bool) {
+// the handler's own (decode + align copy + encode). The arena-vs-
+// encoding/json comparison of the encoder alone is
+// internal/serve's BenchmarkEncodeAlignResponse{Arena,Stdlib}.
+func BenchmarkServeEncodeArena(b *testing.B) {
 	dec := make([]serve.Decision, benchServeSources)
 	for i := range dec {
 		dec[i] = serve.Decision{
@@ -745,7 +738,6 @@ func benchServeEncode(b *testing.B, stdlib bool) {
 	cfg := serve.DefaultServerConfig()
 	cfg.CoalesceWindow = 0
 	cfg.CacheSize = 0
-	cfg.StdlibEncode = stdlib
 	srv := serve.NewServer(cfg, obs.NewRegistry())
 	srv.SetAligner(&staticBenchAligner{dec: dec})
 	h := srv.Handler()
@@ -772,6 +764,3 @@ func benchServeEncode(b *testing.B, stdlib bool) {
 		}
 	}
 }
-
-func BenchmarkServeEncodeStdlib(b *testing.B) { benchServeEncode(b, true) }
-func BenchmarkServeEncodeArena(b *testing.B)  { benchServeEncode(b, false) }

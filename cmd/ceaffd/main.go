@@ -15,7 +15,7 @@
 //	       [-breaker-window 20] [-breaker-threshold 0.5] [-breaker-cooldown 10s]
 //	       [-wal path] [-rebuild-threshold 1] [-rebuild-interval 0]
 //	       [-coalesce-window 2ms] [-coalesce-max-rows 256] [-cache-size 4096]
-//	       [-stdlib-encode] [-shards 0]
+//	       [-shards 0]
 //	       [-replica -partition i/N]
 //	       [-router -replicas url1,...,urlN] [-probe-interval 1s]
 //	       [-gather-timeout 2s] [-replica-retries 3]
@@ -47,14 +47,14 @@
 // pooled collective execution with per-request demux; single-source answers
 // and candidate lists land in a -cache-size LRU keyed by engine version
 // (invalidated wholesale on hot-swap); responses are encoded through the
-// arena-backed zero-allocation encoder unless -stdlib-encode. With
-// -shards N, the source space is partitioned across N consistent-hash
-// replica shards behind an in-process router; answers stay bit-identical
-// to the unsharded engine. With -blocked, the candidate-first pipeline
-// builds a sparse engine (token/neighbour/LSH blocking, candidate-local
-// scores) — serving from Result.FusedSparse in O(|test|·candidates)
-// memory. -blocked and -shards are mutually exclusive, and neither
-// supports -wal yet.
+// arena-backed zero-allocation encoder. With -shards N, the source space
+// is partitioned across N consistent-hash partitions served in process by
+// the same Router as -router mode, each partition behind a local
+// transport; answers stay bit-identical to the unsharded engine. With
+// -blocked, the candidate-first pipeline builds a sparse engine
+// (token/neighbour/LSH blocking, candidate-local scores) — serving from
+// Result.FusedSparse in O(|test|·candidates) memory. -blocked and -shards
+// are mutually exclusive, and neither supports -wal yet.
 //
 // The replicated path runs shards as separate processes. A replica
 // (-replica -partition i/N) builds the corpus, keeps its slice of the
@@ -146,8 +146,7 @@ func main() {
 	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond, "merge concurrent align requests for up to this long (0 = off)")
 	coalesceMaxRows := flag.Int("coalesce-max-rows", 256, "flush a coalescing batch early at this many source rows")
 	cacheSize := flag.Int("cache-size", 4096, "versioned LRU result-cache entries (0 = off)")
-	stdlibEncode := flag.Bool("stdlib-encode", false, "encode responses with encoding/json instead of the arena encoder")
-	shards := flag.Int("shards", 0, "partition the source space across N consistent-hash replica shards (0 = unsharded)")
+	shards := flag.Int("shards", 0, "partition the source space across N consistent-hash partitions served in process by the router (0 = unsharded)")
 	replica := flag.Bool("replica", false, "serve one partition of the source space and the binary row-gather protocol")
 	partition := flag.String("partition", "", "replica: which slice to own, as i/N (e.g. 0/3)")
 	router := flag.Bool("router", false, "route queries across remote replica processes instead of building an engine")
@@ -217,7 +216,6 @@ func main() {
 	scfg.CoalesceWindow = *coalesceWindow
 	scfg.CoalesceMaxRows = *coalesceMaxRows
 	scfg.CacheSize = *cacheSize
-	scfg.StdlibEncode = *stdlibEncode
 	srv := serve.NewServer(scfg, rt.Metrics)
 
 	l, err := net.Listen("tcp", *addr)
@@ -239,15 +237,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
+	rcfg := serve.DefaultRouterConfig()
+	rcfg.ProbeInterval = *probeInterval
+	rcfg.GatherTimeout = *gatherTimeout
+	rcfg.Retry.MaxAttempts = *replicaRetries
+	rcfg.Breaker.Cooldown = *replicaBreakerCooldown
+	rcfg.HedgeDelay = *hedgeDelay
+	rcfg.DisableHedge = *noHedge
 	if *router {
-		rcfg := serve.DefaultRouterConfig()
-		rcfg.ProbeInterval = *probeInterval
-		rcfg.GatherTimeout = *gatherTimeout
-		rcfg.Retry.MaxAttempts = *replicaRetries
-		rcfg.Breaker.Cooldown = *replicaBreakerCooldown
-		rcfg.HedgeDelay = *hedgeDelay
-		rcfg.DisableHedge = *noHedge
-		runRouter(ctx, stop, srv, serveErr, rcfg, splitReplicas(*replicas), *bootTimeout, *drainTimeout, rt.Metrics)
+		urls := splitReplicas(*replicas)
+		if len(urls) == 0 {
+			log.Fatal("-replicas lists no URLs")
+		}
+		transports := make([]serve.Transport, len(urls))
+		client := &http.Client{}
+		for i, u := range urls {
+			transports[i] = &serve.HTTPTransport{Base: u, Client: client}
+		}
+		rtr := startRouter(ctx, srv, rcfg, transports, *bootTimeout, rt.Metrics)
+		awaitDrain(ctx, stop, srv, serveErr, *drainTimeout, rtr.Close)
 		return
 	}
 
@@ -279,8 +287,9 @@ func main() {
 	start := time.Now()
 	pipeCtx := obs.Into(ctx, rt)
 
-	var upd *serve.Updater
-	var wlog *wal.Log
+	// closers release what the serving mode started, in order, once the
+	// HTTP side has drained.
+	var closers []func()
 	switch {
 	case *blocked:
 		bstart := time.Now()
@@ -319,24 +328,27 @@ func main() {
 			fatalStartup(ctx, err)
 		}
 		logDegraded(engine)
-		var aligner serve.Aligner = engine
 		if *shards > 0 {
-			sharded, err := serve.NewShardedEngine(engine, *shards)
+			parts, err := serve.NewPartitions(engine, *shards)
 			if err != nil {
 				fatalStartup(ctx, err)
 			}
-			aligner = sharded
-			log.Printf("sharded: %d consistent-hash replicas", sharded.NumShards())
+			transports := make([]serve.Transport, len(parts))
+			for i, p := range parts {
+				transports[i] = &serve.LocalTransport{P: p}
+			}
+			rtr := startRouter(ctx, srv, rcfg, transports, *bootTimeout, rt.Metrics)
+			closers = append(closers, rtr.Close)
+		} else {
+			srv.SetAligner(engine)
 		}
-		srv.SetAligner(aligner)
 		log.Printf("ready after %.1fs (%d sources)", time.Since(start).Seconds(), engine.NumSources())
 	default:
 		// Durable update mode: replay the WAL over the deterministically
 		// rebuilt base corpus, publish the recovered engine, and run the
 		// background rebuild loop for new mutations.
 		rb := &serve.Rebuilder{Cfg: cfg, CheckpointPath: *walPath + ".ckpt", Reg: rt.Metrics}
-		var info wal.ReplayInfo
-		wlog, info, err = wal.Open(*walPath, serve.BaseFingerprint(in), rt.Metrics)
+		wlog, info, err := wal.Open(*walPath, serve.BaseFingerprint(in), rt.Metrics)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -362,58 +374,29 @@ func main() {
 		ucfg := serve.DefaultUpdaterConfig()
 		ucfg.RebuildThreshold = *rebuildThreshold
 		ucfg.RebuildInterval = *rebuildInterval
-		upd = serve.NewUpdater(ucfg, store, wlog, rb.Build, srv, rt.Metrics, seq)
+		upd := serve.NewUpdater(ucfg, store, wlog, rb.Build, srv, rt.Metrics, seq)
 		upd.Start(ctx)
 		srv.SetMutator(upd)
+		// Stop the rebuild loop, then release the log. A mutation
+		// acknowledged during the drain is already durable — the next boot
+		// replays it.
+		closers = append(closers, upd.Close, func() { wlog.Close() })
 		log.Printf("ready after %.1fs at engine version %d (wal %s)",
 			time.Since(start).Seconds(), seq, *walPath)
 	}
 
-	select {
-	case <-ctx.Done():
-		stop()
-		log.Printf("signal received, draining (deadline %s)", *drainTimeout)
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		err := srv.Shutdown(drainCtx)
-		// The HTTP side is quiet (or past its deadline); stop the rebuild
-		// loop and release the log. A mutation acknowledged during the
-		// drain is already durable — the next boot replays it.
-		if upd != nil {
-			upd.Close()
-		}
-		if wlog != nil {
-			wlog.Close()
-		}
-		if err != nil {
-			log.Printf("drain deadline exceeded, force-closing: %v", err)
-			srv.Close()
-			os.Exit(1)
-		}
-		log.Printf("drained cleanly")
-	case err := <-serveErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	}
+	awaitDrain(ctx, stop, srv, serveErr, *drainTimeout, closers...)
 }
 
-// runRouter is -router mode: no offline pipeline at all — the daemon
-// connects to the replica fleet, verifies it is coherent (one split, one
-// corpus, one engine version), and serves /v1/align by gathering rows over
-// the binary shard protocol with per-replica health checks, breakers,
-// carved deadlines, retries and hedging. Lost partitions degrade answers
-// instead of failing them. Blocks until shutdown.
-func runRouter(ctx context.Context, stop context.CancelFunc, srv *serve.Server, serveErr <-chan error,
-	rcfg serve.RouterConfig, urls []string, bootTimeout, drainTimeout time.Duration, reg *obs.Registry) {
-	if len(urls) == 0 {
-		log.Fatal("-replicas lists no URLs")
-	}
-	transports := make([]serve.Transport, len(urls))
-	client := &http.Client{}
-	for i, u := range urls {
-		transports[i] = &serve.HTTPTransport{Base: u, Client: client}
-	}
+// startRouter connects a Router to its partitions, verifies the fleet is
+// coherent (one split, one corpus, one engine version), starts the health
+// probes and publishes the router. It is the one bootstrap of both
+// -router mode (replica processes behind HTTP transports) and -shards
+// (in-process partitions behind local transports). Remote replicas run the
+// full offline pipeline before answering, so the fleet is polled until it
+// is up or bootTimeout runs out.
+func startRouter(ctx context.Context, srv *serve.Server, rcfg serve.RouterConfig,
+	transports []serve.Transport, bootTimeout time.Duration, reg *obs.Registry) *serve.Router {
 	var rtr *serve.Router
 	// The fleet-wide version agreement lands here: republishing the router
 	// bumps response headers and invalidates the version-keyed cache.
@@ -421,8 +404,6 @@ func runRouter(ctx context.Context, stop context.CancelFunc, srv *serve.Server, 
 	start := time.Now()
 	bootCtx, cancel := context.WithTimeout(ctx, bootTimeout)
 	defer cancel()
-	// Replicas run the full offline pipeline before answering; poll until
-	// the whole fleet is up or the boot budget runs out.
 	boot := robust.RetryPolicy{
 		MaxAttempts: int(bootTimeout/(500*time.Millisecond)) + 1,
 		BaseDelay:   500 * time.Millisecond,
@@ -439,9 +420,16 @@ func runRouter(ctx context.Context, stop context.CancelFunc, srv *serve.Server, 
 	}
 	rtr.Start(ctx)
 	srv.Publish(rtr, rtr.Version())
-	log.Printf("router ready after %.1fs: %d partitions across %d replicas, %d sources, engine version %d",
-		time.Since(start).Seconds(), rtr.NumPartitions(), len(urls), rtr.NumSources(), rtr.Version())
+	log.Printf("router ready after %.1fs: %d partitions across %d transports, %d sources, engine version %d",
+		time.Since(start).Seconds(), rtr.NumPartitions(), len(transports), rtr.NumSources(), rtr.Version())
+	return rtr
+}
 
+// awaitDrain blocks until SIGTERM/SIGINT or a listener failure. On a
+// signal it drains the server under drainTimeout, runs closers in order
+// and exits 1 if the drain deadline passed.
+func awaitDrain(ctx context.Context, stop context.CancelFunc, srv *serve.Server, serveErr <-chan error,
+	drainTimeout time.Duration, closers ...func()) {
 	select {
 	case <-ctx.Done():
 		stop()
@@ -449,7 +437,9 @@ func runRouter(ctx context.Context, stop context.CancelFunc, srv *serve.Server, 
 		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		err := srv.Shutdown(drainCtx)
-		rtr.Close()
+		for _, c := range closers {
+			c()
+		}
 		if err != nil {
 			log.Printf("drain deadline exceeded, force-closing: %v", err)
 			srv.Close()

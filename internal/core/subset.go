@@ -10,63 +10,17 @@ import (
 	"ceaff/internal/match"
 )
 
-// AlignRows runs the collective EA decision over a subset of sources: the
-// selected rows of the fused matrix compete for all targets under the same
-// deferred-acceptance mechanics as the full pipeline. This is the online
-// query path of the serving layer — a batch of requested entities is
-// aligned collectively against the whole target space without rerunning
-// the offline decision over every source.
-//
-// rows index fused's rows; the returned assignment is positional (entry p
-// is the target chosen for rows[p], -1 if unmatched). topK > 0 truncates
-// each source's preference list as in Config.PreferenceTopK. Duplicate or
-// out-of-range rows are rejected — a duplicated source would compete with
-// itself for its own best target, silently demoting one copy.
-//
-// The gathered submatrix lives in the pooled scratch arena, so steady-state
-// serving traffic does not allocate a fresh decision matrix per request.
-//
-// Cancellation is cooperative at row granularity during the submatrix
-// gather and checked once more before the matching step, mirroring the
-// row-chunk granularity of the parallel kernels.
-func AlignRows(ctx context.Context, fused *mat.Dense, rows []int, topK int) (match.Assignment, error) {
-	return AlignRowsStrategy(ctx, fused, rows, topK, nil)
-}
-
-// AlignRowsStrategy is AlignRows with an explicit decision strategy. A nil
-// strategy selects the pipeline default (deferred acceptance), bit-identical
-// to AlignRows.
-func AlignRowsStrategy(ctx context.Context, fused *mat.Dense, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
-	if fused == nil {
-		return nil, fmt.Errorf("core: AlignRows on nil matrix")
-	}
-	if len(rows) == 0 {
-		return match.Assignment{}, nil
-	}
-	if err := validateRowSet(rows, fused.Rows); err != nil {
-		return nil, err
-	}
-	sub := mat.GetDense(len(rows), fused.Cols)
-	defer mat.PutDense(sub)
-	for p, r := range rows {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		copy(sub.Row(p), fused.Row(r))
-	}
-	return AlignGatheredStrategy(ctx, sub, topK, st)
-}
-
 // validateRowSet rejects out-of-range and duplicated row indices with the
-// same diagnostics for every gather entry point.
+// same diagnostics for every gather entry point. A duplicated source would
+// compete with itself for its own best target, silently demoting one copy.
 func validateRowSet(rows []int, bound int) error {
 	seen := make(map[int]int, len(rows))
 	for p, r := range rows {
 		if r < 0 || r >= bound {
-			return fmt.Errorf("core: AlignRows row %d out of range [0,%d)", r, bound)
+			return fmt.Errorf("core: row %d out of range [0,%d)", r, bound)
 		}
 		if q, dup := seen[r]; dup {
-			return fmt.Errorf("core: AlignRows rows %d and %d both select source %d", q, p, r)
+			return fmt.Errorf("core: rows %d and %d both select source %d", q, p, r)
 		}
 		seen[r] = p
 	}
@@ -74,28 +28,22 @@ func validateRowSet(rows []int, bound int) error {
 }
 
 // AlignGathered runs the collective decision over an already-gathered
-// preference matrix — the decision half of AlignRows, split out so callers
-// that build their own submatrices (the coalescer's shared batch gather, the
-// shard router's fan-out merge) reuse the exact decision path.
+// preference matrix: sub's rows compete for all targets under strategy st,
+// exactly as the batch pipeline decides. A nil st selects the pipeline
+// default, deferred acceptance; topK > 0 truncates each source's preference
+// list as in Config.PreferenceTopK. Callers that build their own
+// submatrices (the shard router's fan-out merge, a replica's owned rows)
+// and AlignRowGroups all decide through this one function.
 //
-// A single-row matrix short-circuits to a linear argmax scan: deferred
-// acceptance over one source degenerates to the source's first preference,
-// which is its maximal target with ties toward the lower index — exactly
+// A single-row matrix short-circuits to a linear argmax scan when the
+// strategy advertises Caps().ArgmaxSingle (deferred acceptance always
+// does): a lone proposing source ends up with its first preference, which
+// is its maximal target with ties toward the lower index — exactly
 // mat.TopKRow's order — so the scan is bit-identical to the full machinery
-// at a fraction of the cost (no O(C log C) preference sort). Rows containing
-// NaN fall through to the full algorithm, whose NaN ordering the fast path
-// does not reproduce.
-func AlignGathered(ctx context.Context, sub *mat.Dense, topK int) (match.Assignment, error) {
-	return AlignGatheredStrategy(ctx, sub, topK, nil)
-}
-
-// AlignGatheredStrategy is AlignGathered with an explicit decision strategy.
-// A nil strategy selects the pipeline default (deferred acceptance). The
-// single-row argmax fast path applies only to strategies that advertise
-// Caps().ArgmaxSingle — those whose one-source decision provably degenerates
-// to the lowest-index argmax — so strategy output stays bit-identical whether
-// or not the shortcut fires.
-func AlignGatheredStrategy(ctx context.Context, sub *mat.Dense, topK int, st match.Strategy) (match.Assignment, error) {
+// at a fraction of the cost (no O(C log C) preference sort). Rows
+// containing NaN fall through to the full algorithm, whose NaN ordering the
+// fast path does not reproduce.
+func AlignGathered(ctx context.Context, sub *mat.Dense, topK int, st match.Strategy) (match.Assignment, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -132,27 +80,32 @@ func singleRowChoice(row []float64) (int, bool) {
 	return best, true
 }
 
-// AlignRowGroups answers several independent AlignRows requests in one
-// call: every group's rows are gathered into a single pooled submatrix —
-// one scratch-arena draw and one pass over the fused matrix instead of one
-// per request — and each group then runs its own collective decision over
-// its slice of that matrix. Groups never compete with each other, so entry
-// g of the result is bit-identical to AlignRows(ctx, fused, groups[g],
-// topK). This is the request coalescer's execution primitive.
+// AlignRowGroups runs the collective EA decision over subsets of sources —
+// the online query path of the serving layer. Each group's selected rows of
+// the fused matrix compete for all targets under the same mechanics as the
+// full pipeline, without rerunning the offline decision over every source;
+// a single request is the one-group case.
 //
-// Rows may repeat across groups (two coalesced requests may ask for the
-// same source); duplicates within a group are rejected exactly as in
-// AlignRows.
-func AlignRowGroups(ctx context.Context, fused *mat.Dense, groups [][]int, topK int) ([]match.Assignment, error) {
-	return AlignRowGroupsStrategy(ctx, fused, groups, topK, nil)
-}
-
-// AlignRowGroupsStrategy is AlignRowGroups with a per-group decision
-// strategy: strategies[g] decides group g, nil entries (or a nil slice)
-// select the pipeline default. len(strategies) must be 0 or len(groups).
-func AlignRowGroupsStrategy(ctx context.Context, fused *mat.Dense, groups [][]int, topK int, strategies []match.Strategy) ([]match.Assignment, error) {
+// Every group's rows are gathered into a single pooled submatrix — one
+// scratch-arena draw and one pass over the fused matrix instead of one per
+// request, so steady-state serving traffic does not allocate a fresh
+// decision matrix — and each group then runs its own AlignGathered over
+// its slice of that matrix. Groups never compete with each other, so entry
+// g of the result is bit-identical to deciding groups[g] alone. Entry g is
+// positional: element p is the target chosen for groups[g][p], -1 if
+// unmatched.
+//
+// strategies[g] decides group g; nil entries (or a nil slice) select the
+// pipeline default, deferred acceptance. len(strategies) must be 0 or
+// len(groups). Rows may repeat across groups (two coalesced requests may
+// ask for the same source); out-of-range rows and duplicates within a group
+// are rejected.
+//
+// Cancellation is cooperative at row granularity during the gather and
+// checked once more before each group's decision.
+func AlignRowGroups(ctx context.Context, fused *mat.Dense, groups [][]int, topK int, strategies []match.Strategy) ([]match.Assignment, error) {
 	if fused == nil {
-		return nil, fmt.Errorf("core: AlignRows on nil matrix")
+		return nil, fmt.Errorf("core: AlignRowGroups on nil matrix")
 	}
 	if len(strategies) != 0 && len(strategies) != len(groups) {
 		return nil, fmt.Errorf("core: %d strategies for %d groups", len(strategies), len(groups))
@@ -198,7 +151,7 @@ func AlignRowGroupsStrategy(ctx context.Context, fused *mat.Dense, groups [][]in
 		if len(strategies) != 0 {
 			st = strategies[g]
 		}
-		asn, err := AlignGatheredStrategy(ctx, view, topK, st)
+		asn, err := AlignGathered(ctx, view, topK, st)
 		if err != nil {
 			return nil, err
 		}
@@ -208,22 +161,17 @@ func AlignRowGroupsStrategy(ctx context.Context, fused *mat.Dense, groups [][]in
 	return out, nil
 }
 
-// AlignRowsSparse is AlignRows over the blocked pipeline's candidate
-// structure: the selected sources compete for targets under deferred
-// acceptance restricted to their candidate lists, with the same proposal
-// order and tie-breaks as the sparse batch decision (match.SparseDAA). scores is
-// the fused candidate-score structure (Result.FusedSparse), aligned with
-// cands. The returned assignment is positional: entry p is the global
-// target index chosen for rows[p], -1 when the source exhausts its
-// candidates.
-func AlignRowsSparse(ctx context.Context, cands blocking.Candidates, scores [][]float64, rows []int, topK int) (match.Assignment, error) {
-	return AlignRowsSparseStrategy(ctx, cands, scores, rows, topK, nil)
-}
-
-// AlignRowsSparseStrategy is AlignRowsSparse with an explicit decision
-// strategy. A nil strategy selects the pipeline default (sparse deferred
-// acceptance); strategies without sparse support are rejected.
-func AlignRowsSparseStrategy(ctx context.Context, cands blocking.Candidates, scores [][]float64, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
+// AlignRowsSparse is the collective subset decision over the blocked
+// pipeline's candidate structure: the selected sources compete for targets
+// restricted to their candidate lists. A nil st selects the pipeline
+// default, sparse deferred acceptance with the same proposal order and
+// tie-breaks as the sparse batch decision (match.SparseDAA); strategies
+// without sparse support are rejected. scores is the fused candidate-score
+// structure (Result.FusedSparse), aligned with cands. The returned
+// assignment is positional: entry p is the global target index chosen for
+// rows[p], -1 when the source exhausts its candidates. Out-of-range and
+// duplicate rows are rejected as in AlignRowGroups.
+func AlignRowsSparse(ctx context.Context, cands blocking.Candidates, scores [][]float64, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
 	if st != nil && !st.Caps().Sparse {
 		return nil, fmt.Errorf("core: %s assignment needs the dense cost matrix; use the dense pipeline or a sparse decision mode", st.Name())
 	}

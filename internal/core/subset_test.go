@@ -19,10 +19,30 @@ func subsetTestMatrix() *mat.Dense {
 	})
 }
 
+// alignRows decides one request: the one-group case of AlignRowGroups
+// under the default strategy.
+func alignRows(ctx context.Context, fused *mat.Dense, rows []int, topK int) (match.Assignment, error) {
+	out, err := AlignRowGroups(ctx, fused, [][]int{rows}, topK, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// gatherRows copies the selected rows of fused into a fresh submatrix — the
+// test's own gather, independent of AlignRowGroups' pooled one.
+func gatherRows(fused *mat.Dense, rows []int) *mat.Dense {
+	sub := mat.NewDense(len(rows), fused.Cols)
+	for p, r := range rows {
+		copy(sub.Row(p), fused.Row(r))
+	}
+	return sub
+}
+
 func TestAlignRowsMatchesFullDecision(t *testing.T) {
 	fused := subsetTestMatrix()
 	full := match.DeferredAcceptance(fused)
-	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 0)
+	got, err := alignRows(context.Background(), fused, []int{0, 1, 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +57,7 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 	fused := subsetTestMatrix()
 	// Sources 0 and 1 both prefer target 0; collectively source 0 (score
 	// 0.9) must win it and source 1 fall back to target 1.
-	got, err := AlignRows(context.Background(), fused, []int{0, 1}, 0)
+	got, err := alignRows(context.Background(), fused, []int{0, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +65,7 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 		t.Fatalf("collective subset decision = %v, want [0 1]", got)
 	}
 	// Reordering the request must permute the answer, not change it.
-	rev, err := AlignRows(context.Background(), fused, []int{1, 0}, 0)
+	rev, err := alignRows(context.Background(), fused, []int{1, 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +76,16 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 
 func TestAlignRowsValidation(t *testing.T) {
 	fused := subsetTestMatrix()
-	if _, err := AlignRows(context.Background(), nil, []int{0}, 0); err == nil {
+	if _, err := alignRows(context.Background(), nil, []int{0}, 0); err == nil {
 		t.Error("nil matrix accepted")
 	}
-	if _, err := AlignRows(context.Background(), fused, []int{3}, 0); err == nil {
+	if _, err := alignRows(context.Background(), fused, []int{3}, 0); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := AlignRows(context.Background(), fused, []int{1, 1}, 0); err == nil {
+	if _, err := alignRows(context.Background(), fused, []int{1, 1}, 0); err == nil {
 		t.Error("duplicate rows accepted")
 	}
-	got, err := AlignRows(context.Background(), fused, nil, 0)
+	got, err := alignRows(context.Background(), fused, nil, 0)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty rows: got %v, %v", got, err)
 	}
@@ -75,15 +95,15 @@ func TestAlignRowsCancelled(t *testing.T) {
 	fused := subsetTestMatrix()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AlignRows(ctx, fused, []int{0, 1}, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled AlignRows returned %v, want context.Canceled", err)
+	if _, err := alignRows(ctx, fused, []int{0, 1}, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled alignRows returned %v, want context.Canceled", err)
 	}
 }
 
 func TestAlignRowsTopK(t *testing.T) {
 	fused := subsetTestMatrix()
 	full := match.DeferredAcceptanceTopK(fused, 2)
-	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 2)
+	got, err := alignRows(context.Background(), fused, []int{0, 1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +134,7 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		m := randDense(1, 1+trial%37, uint64(trial)+1)
 		want := match.DeferredAcceptance(m)
-		got, err := AlignGathered(ctx, m, 0)
+		got, err := AlignGathered(ctx, m, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +142,7 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 			t.Fatalf("trial %d: fast path %d != DAA %d (row %v)", trial, got[0], want[0], m.Row(0))
 		}
 		wantK := match.DeferredAcceptanceTopK(m, 3)
-		gotK, err := AlignGathered(ctx, m, 3)
+		gotK, err := AlignGathered(ctx, m, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +153,7 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 	// NaN rows must take the full algorithm, not the scan.
 	m := mat.FromRows([][]float64{{0.5, nan(), 0.9}})
 	want := match.DeferredAcceptance(m)
-	got, err := AlignGathered(ctx, m, 0)
+	got, err := AlignGathered(ctx, m, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +161,7 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 		t.Fatalf("NaN row: fast path %d != DAA %d", got[0], want[0])
 	}
 	// Zero-column rows stay unmatched either way.
-	empty, err := AlignGathered(ctx, mat.NewDense(1, 0), 0)
+	empty, err := AlignGathered(ctx, mat.NewDense(1, 0), 0, nil)
 	if err != nil || empty[0] != -1 {
 		t.Fatalf("empty row: got %v, %v", empty, err)
 	}
@@ -150,7 +170,8 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 func nan() float64 { return math.NaN() }
 
 // TestAlignRowGroupsBitIdentity pins the coalescer's execution primitive:
-// every group's assignment equals an independent AlignRows call, for
+// every group's assignment equals an independent AlignGathered decision over
+// the group's own gather, for
 // randomized groups that overlap across (but not within) groups.
 func TestAlignRowGroupsBitIdentity(t *testing.T) {
 	ctx := context.Background()
@@ -177,12 +198,12 @@ func TestAlignRowGroupsBitIdentity(t *testing.T) {
 		if trial%3 == 0 {
 			topK = 1 + next(n)
 		}
-		got, err := AlignRowGroups(ctx, fused, groups, topK)
+		got, err := AlignRowGroups(ctx, fused, groups, topK, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for g, rows := range groups {
-			want, err := AlignRows(ctx, fused, rows, topK)
+			want, err := AlignGathered(ctx, gatherRows(fused, rows), topK, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,32 +220,33 @@ func TestAlignRowGroupsBitIdentity(t *testing.T) {
 func TestAlignRowGroupsValidation(t *testing.T) {
 	ctx := context.Background()
 	fused := subsetTestMatrix()
-	if _, err := AlignRowGroups(ctx, nil, [][]int{{0}}, 0); err == nil {
+	if _, err := AlignRowGroups(ctx, nil, [][]int{{0}}, 0, nil); err == nil {
 		t.Error("nil matrix accepted")
 	}
-	if _, err := AlignRowGroups(ctx, fused, [][]int{{0}, {5}}, 0); err == nil {
+	if _, err := AlignRowGroups(ctx, fused, [][]int{{0}, {5}}, 0, nil); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := AlignRowGroups(ctx, fused, [][]int{{1, 1}}, 0); err == nil {
+	if _, err := AlignRowGroups(ctx, fused, [][]int{{1, 1}}, 0, nil); err == nil {
 		t.Error("within-group duplicate accepted")
 	}
 	// Across-group duplicates are the point of coalescing: allowed.
-	got, err := AlignRowGroups(ctx, fused, [][]int{{0, 1}, {0}, {}}, 0)
+	got, err := AlignRowGroups(ctx, fused, [][]int{{0, 1}, {0}, {}}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || len(got[1]) != 1 || got[1][0] != 0 || len(got[2]) != 0 {
 		t.Fatalf("grouped result malformed: %v", got)
 	}
-	out, err := AlignRowGroups(ctx, fused, nil, 0)
+	out, err := AlignRowGroups(ctx, fused, nil, 0, nil)
 	if err != nil || len(out) != 0 {
 		t.Errorf("empty groups: got %v, %v", out, err)
 	}
 }
 
 // TestAlignRowsSparseMatchesDense pins the sparse subset decision against
-// the dense AlignRows on full candidate lists (every target a candidate of
-// every source): same competition, same tie-breaks, same assignments.
+// the dense one-group AlignRowGroups on full candidate lists (every target
+// a candidate of every source): same competition, same tie-breaks, same
+// assignments.
 func TestAlignRowsSparseMatchesDense(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 40; trial++ {
@@ -257,11 +279,11 @@ func TestAlignRowsSparseMatchesDense(t *testing.T) {
 		if trial%2 == 0 {
 			topK = 1 + next(n+2)
 		}
-		want, err := AlignRows(ctx, fused, rows, topK)
+		want, err := alignRows(ctx, fused, rows, topK)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AlignRowsSparse(ctx, cands, scores, rows, topK)
+		got, err := AlignRowsSparse(ctx, cands, scores, rows, topK, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,22 +300,22 @@ func TestAlignRowsSparseValidation(t *testing.T) {
 	ctx := context.Background()
 	cands := blocking.Candidates{{0, 1}, {1}}
 	scores := [][]float64{{0.9, 0.1}, {0.8}}
-	if _, err := AlignRowsSparse(ctx, cands, scores[:1], []int{0}, 0); err == nil {
+	if _, err := AlignRowsSparse(ctx, cands, scores[:1], []int{0}, 0, nil); err == nil {
 		t.Error("mismatched cands/scores accepted")
 	}
-	if _, err := AlignRowsSparse(ctx, cands, scores, []int{2}, 0); err == nil {
+	if _, err := AlignRowsSparse(ctx, cands, scores, []int{2}, 0, nil); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := AlignRowsSparse(ctx, cands, scores, []int{0, 0}, 0); err == nil {
+	if _, err := AlignRowsSparse(ctx, cands, scores, []int{0, 0}, 0, nil); err == nil {
 		t.Error("duplicate rows accepted")
 	}
-	got, err := AlignRowsSparse(ctx, cands, scores, nil, 0)
+	got, err := AlignRowsSparse(ctx, cands, scores, nil, 0, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty rows: got %v, %v", got, err)
 	}
 	// Both sources want target 1's column? Source 0 prefers target 0 (0.9);
 	// source 1 only candidates target 1: no competition, both matched.
-	asn, err := AlignRowsSparse(ctx, cands, scores, []int{0, 1}, 0)
+	asn, err := AlignRowsSparse(ctx, cands, scores, []int{0, 1}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

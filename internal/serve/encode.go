@@ -226,8 +226,8 @@ func appendCandidatesResponse(buf []byte, cands []Candidate) ([]byte, bool) {
 }
 
 // writeAlignResponse writes the align answer through the arena-backed
-// encoder, falling back to the stdlib path when disabled by config or when
-// a non-finite score makes encoding/json's error behaviour authoritative.
+// encoder, falling back to encoding/json when a non-finite score makes the
+// stdlib's error behaviour authoritative.
 func (s *Server) writeAlignResponse(w http.ResponseWriter, resp alignResponse) {
 	// A partial answer — any source degraded by partition loss — is
 	// advertised in a header so clients and load generators can count
@@ -239,10 +239,6 @@ func (s *Server) writeAlignResponse(w http.ResponseWriter, resp alignResponse) {
 			s.reg.Counter("serve.align.partial").Inc()
 			break
 		}
-	}
-	if s.cfg.StdlibEncode {
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
 	buf := mat.GetScratchBytes(64 + 160*len(resp.Results))
 	out, ok := appendAlignResponse(buf, resp)
@@ -260,10 +256,6 @@ func (s *Server) writeAlignResponse(w http.ResponseWriter, resp alignResponse) {
 
 // writeCandidatesResponse is the candidates-endpoint counterpart.
 func (s *Server) writeCandidatesResponse(w http.ResponseWriter, cands []Candidate) {
-	if s.cfg.StdlibEncode {
-		writeJSON(w, http.StatusOK, map[string][]Candidate{"candidates": cands})
-		return
-	}
 	buf := mat.GetScratchBytes(64 + 256*len(cands))
 	out, ok := appendCandidatesResponse(buf, cands)
 	if !ok {

@@ -195,14 +195,18 @@ func (e *Engine) NumSources() int { return len(e.srcNames) }
 
 // Resolve implements Aligner: keys are decimal source indices or source
 // entity names.
-func (e *Engine) Resolve(key string) (int, bool) {
+func (e *Engine) Resolve(key string) (int, bool) { return resolveKey(key, len(e.srcNames), e.byName) }
+
+// resolveKey is the key grammar every Aligner shares: a decimal source
+// index in [0,n), or a source entity name looked up in byName.
+func resolveKey(key string, n int, byName map[string]int) (int, bool) {
 	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(e.srcNames) {
+		if i >= 0 && i < n {
 			return i, true
 		}
 		return 0, false
 	}
-	i, ok := e.byName[key]
+	i, ok := byName[key]
 	return i, ok
 }
 
@@ -210,24 +214,22 @@ func (e *Engine) Resolve(key string) (int, bool) {
 // strategy (Hungarian included — the dense matrix is in memory).
 func (e *Engine) Strategies() []string { return match.StrategyNames() }
 
-// AlignCollective implements Aligner via core.AlignRowsStrategy: the
-// requested sources compete for targets under the selected decision
-// strategy (deferred acceptance when strategy is ""), exactly as the batch
-// pipeline decides, restricted to the queried rows.
+// AlignCollective implements Aligner as the one-group case of the grouped
+// path: the requested sources compete for targets under the selected
+// decision strategy (deferred acceptance when strategy is ""), exactly as
+// the batch pipeline decides, restricted to the queried rows.
 func (e *Engine) AlignCollective(ctx context.Context, rows []int, strategy string) ([]Decision, error) {
-	st, err := strategyFor(strategy)
+	return alignOneGroup(ctx, e, rows, strategy)
+}
+
+// alignOneGroup answers a single request through a GroupAligner's grouped
+// path, so one request and a coalesced batch share one decision path.
+func alignOneGroup(ctx context.Context, ga GroupAligner, rows []int, strategy string) ([]Decision, error) {
+	out, err := ga.AlignCollectiveGroups(ctx, [][]int{rows}, []string{strategy})
 	if err != nil {
 		return nil, err
 	}
-	asn, err := core.AlignRowsStrategy(ctx, e.fused, rows, e.topK, st)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Decision, len(rows))
-	for p, row := range rows {
-		out[p] = e.decision(row, asn[p])
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // AlignCollectiveGroups implements GroupAligner via core.AlignRowGroups:
@@ -238,7 +240,7 @@ func (e *Engine) AlignCollectiveGroups(ctx context.Context, groups [][]int, stra
 	if err != nil {
 		return nil, err
 	}
-	asns, err := core.AlignRowGroupsStrategy(ctx, e.fused, groups, e.topK, sts)
+	asns, err := core.AlignRowGroups(ctx, e.fused, groups, e.topK, sts)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +248,7 @@ func (e *Engine) AlignCollectiveGroups(ctx context.Context, groups [][]int, stra
 	for g, rows := range groups {
 		out[g] = make([]Decision, len(rows))
 		for p, row := range rows {
-			out[g][p] = e.decision(row, asns[g][p])
+			out[g][p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), asns[g][p])
 		}
 	}
 	return out, nil
@@ -256,25 +258,9 @@ func (e *Engine) AlignCollectiveGroups(ctx context.Context, groups [][]int, stra
 func (e *Engine) AlignGreedy(rows []int) []Decision {
 	out := make([]Decision, len(rows))
 	for p, row := range rows {
-		out[p] = e.decision(row, e.greedy[row])
+		out[p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), e.greedy[row])
 	}
 	return out
-}
-
-// decision assembles the Decision for source row matched to target j.
-func (e *Engine) decision(row, j int) Decision {
-	d := Decision{SourceIndex: row, Source: e.srcNames[row], TargetIndex: -1}
-	if j < 0 {
-		return d
-	}
-	score := e.fused.At(row, j)
-	d.TargetIndex = j
-	d.Target = e.tgtNames[j]
-	d.Score = score
-	d.Rank = e.rank(row, score)
-	d.Matched = true
-	d.Unilateral = rowUnilateral(e.fused.Row(row), j)
-	return d
 }
 
 // rowUnilateral reports whether target j is the answer a lone request for
@@ -291,22 +277,10 @@ func rowUnilateral(row []float64, j int) bool {
 	return true
 }
 
-// rank counts targets the source scores strictly above the chosen score,
-// plus one — deterministic under ties regardless of which tied target the
-// decision picked.
-func (e *Engine) rank(row int, score float64) int {
-	r := 1
-	for _, v := range e.fused.Row(row) {
-		if v > score {
-			r++
-		}
-	}
-	return r
-}
-
 // Candidates implements Aligner: the top-k fused scores of one source in
 // descending order (ties toward the lower target index, matching
 // mat.TopKRow), each broken down into the surviving per-feature scores.
+// An engine built without features answers with empty breakdowns.
 func (e *Engine) Candidates(ctx context.Context, row, k int) ([]Candidate, error) {
 	if row < 0 || row >= len(e.srcNames) {
 		return nil, fmt.Errorf("serve: source %d out of range [0,%d)", row, len(e.srcNames))
@@ -314,33 +288,11 @@ func (e *Engine) Candidates(ctx context.Context, row, k int) ([]Candidate, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if k < 1 {
-		k = 1
-	}
-	rowView := &mat.Dense{Rows: 1, Cols: e.fused.Cols, Data: e.fused.Row(row)}
-	top := mat.TopKRow(rowView, k)[0]
-	out := make([]Candidate, len(top))
-	for r, j := range top {
-		features := map[string]float64{}
-		for _, f := range []struct {
-			name string
-			m    *mat.Dense
-		}{
-			{"structural", e.feats.Ms},
-			{"semantic", e.feats.Mn},
-			{"string", e.feats.Ml},
-		} {
-			if f.m != nil {
-				features[f.name] = f.m.At(row, j)
-			}
-		}
-		out[r] = Candidate{
-			TargetIndex: j,
-			Target:      e.tgtNames[j],
-			Score:       e.fused.At(row, j),
-			Rank:        r + 1,
-			Features:    features,
+	var feats featureRow
+	if e.feats != nil {
+		feats = featureRow{
+			ms: matRowOrNil(e.feats.Ms, row), mn: matRowOrNil(e.feats.Mn, row), ml: matRowOrNil(e.feats.Ml, row),
 		}
 	}
-	return out, nil
+	return candidatesFromRows(e.tgtNames, e.fused.Row(row), k, feats), nil
 }

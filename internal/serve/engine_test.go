@@ -14,6 +14,7 @@ import (
 	"ceaff/internal/gcn"
 	"ceaff/internal/mat"
 	"ceaff/internal/match"
+	"ceaff/internal/obs"
 )
 
 // literalEngine builds an Engine directly from matrices — no pipeline run —
@@ -157,7 +158,7 @@ func TestServeResponseBitIdentity(t *testing.T) {
 		t.Skip("double pipeline run")
 	}
 	fetch := func(e *Engine) (align, cands, metricsStatus []byte) {
-		srv := NewServer(testServerConfig(), nil)
+		srv := NewServer(testServerConfig(), obs.NewRegistry())
 		srv.SetAligner(e)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
@@ -201,5 +202,44 @@ func TestServeResponseBitIdentity(t *testing.T) {
 	}
 	if body.Degraded || len(body.Results) != 4 || !body.Results[0].Matched {
 		t.Fatalf("align response malformed: %s", align1)
+	}
+}
+
+// TestEngineCandidatesNilFeatures pins NewStaticEngine's documented nil
+// feature set: candidates carry the fused scores with empty per-feature
+// breakdowns, and the HTTP endpoint answers 200 rather than a recovered
+// panic.
+func TestEngineCandidatesNilFeatures(t *testing.T) {
+	fused := mat.FromRows([][]float64{{0.2, 0.9, 0.5}, {0.7, 0.1, 0.3}})
+	e, err := NewStaticEngine(fused, nil, []string{"s0", "s1"}, []string{"t0", "t1", "t2"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := e.Candidates(context.Background(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 2 || cands[0].TargetIndex != 1 || cands[0].Score != 0.9 ||
+		cands[1].TargetIndex != 2 || cands[1].Score != 0.5 {
+		t.Fatalf("candidates %+v, want targets 1 (0.9) then 2 (0.5)", cands)
+	}
+	for _, c := range cands {
+		if len(c.Features) != 0 {
+			t.Fatalf("candidate %+v carries features without a feature set", c)
+		}
+	}
+
+	srv := NewServer(testServerConfig(), obs.NewRegistry())
+	srv.SetAligner(e)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/v1/entity/s1/candidates?k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("candidates endpoint answered %d: %s", resp.StatusCode, body)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,13 +15,15 @@ import (
 	"ceaff/internal/robust"
 )
 
-// Router is the cross-process counterpart of ShardedEngine: the same
-// consistent-hash ownership and gather-then-centrally-decide discipline,
-// but each partition is reached through a Transport, so replicas may be
-// separate ceaffd processes. On full health its answers are bit-identical
-// to the in-process ShardedEngine and the unsharded Engine — scores cross
-// the wire as exact float64 bits and the collective decision runs once,
-// centrally, over the gathered rows.
+// Router is the one sharded serving path: over a source space split into
+// consistent-hash Partitions, it answers every query by gathering the
+// requested rows from their owners, then deciding centrally. Each
+// partition is reached through a Transport — in-process (LocalTransport,
+// `ceaffd -shards N`) or a separate `ceaffd -replica` process
+// (HTTPTransport). On full health its answers are bit-identical to the
+// unsharded Engine: scores cross every transport as exact float64 bits and
+// the collective decision runs once, centrally, over the gathered rows, so
+// the competition is global even though the storage is not.
 //
 // Every remote gather runs through a fault-tolerance chain built from the
 // repo's existing primitives:
@@ -302,14 +303,7 @@ func (rt *Router) NumSources() int { return len(rt.state.Load().srcNames) }
 // Resolve implements Aligner with the same key grammar as Engine.
 func (rt *Router) Resolve(key string) (int, bool) {
 	st := rt.state.Load()
-	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(st.srcNames) {
-			return i, true
-		}
-		return 0, false
-	}
-	i, ok := st.byName[key]
-	return i, ok
+	return resolveKey(key, len(st.srcNames), st.byName)
 }
 
 // Strategies implements Aligner: gathers are dense rows, so every
@@ -319,11 +313,7 @@ func (rt *Router) Strategies() []string { return match.StrategyNames() }
 // AlignCollective implements Aligner as the one-group case of the grouped
 // path.
 func (rt *Router) AlignCollective(ctx context.Context, rows []int, strategy string) ([]Decision, error) {
-	out, err := rt.AlignCollectiveGroups(ctx, [][]int{rows}, []string{strategy})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return alignOneGroup(ctx, rt, rows, strategy)
 }
 
 // AlignCollectiveGroups implements GroupAligner: all groups share one
@@ -385,7 +375,7 @@ func (rt *Router) AlignCollectiveGroups(ctx context.Context, groups [][]int, str
 			for li, i := range live {
 				copy(sub.Row(li), gathered.fused[off+i])
 			}
-			asn, derr := core.AlignGatheredStrategy(ctx, sub, st.topK, strategy)
+			asn, derr := core.AlignGathered(ctx, sub, st.topK, strategy)
 			mat.PutDense(sub)
 			if derr != nil {
 				return nil, derr
@@ -461,6 +451,22 @@ func (rt *Router) Candidates(ctx context.Context, row, k int) ([]Candidate, erro
 		return nil, fmt.Errorf("%w: partition %d owning source %d", ErrPartitionLost, st.owner[row], row)
 	}
 	return candidatesFromRows(st.tgtNames, gathered.fused[0], k, gathered.feats[0]), nil
+}
+
+// validRequestRows rejects out-of-range and duplicate rows — the shared
+// pre-gather validation of Router and Partition.
+func validRequestRows(rows []int, n int) error {
+	seen := make(map[int]bool, len(rows))
+	for _, r := range rows {
+		if r < 0 || r >= n {
+			return fmt.Errorf("serve: source %d out of range [0,%d)", r, n)
+		}
+		if seen[r] {
+			return fmt.Errorf("serve: duplicate source %d", r)
+		}
+		seen[r] = true
+	}
+	return nil
 }
 
 // degradedDecision is the partial-answer shape for a source whose partition

@@ -48,10 +48,6 @@ type Config struct {
 	CoalesceMaxRows int
 	// CacheSize bounds the versioned result cache (entries); 0 disables it.
 	CacheSize int
-	// StdlibEncode routes responses through encoding/json instead of the
-	// arena-backed encoder — the A/B lever for the allocation benchmarks
-	// and a paranoia escape hatch.
-	StdlibEncode bool
 	// Now replaces the clock used for queue-wait accounting and deadline
 	// budgeting; tests inject a fake to pin the elapsed-wait subtraction.
 	// Nil uses time.Now.
@@ -408,6 +404,35 @@ type alignResponse struct {
 	Results  []Decision `json:"results"`
 }
 
+// Request bodies are capped before decoding so a client cannot make the
+// server buffer an unbounded body only to reject it for its batch size: a
+// body may hold MaxBatch items (align source keys or mutations) of up to
+// maxBodyBytesPerItem each, plus maxBodyEnvelope bytes for the rest of the
+// object.
+const (
+	maxBodyBytesPerItem = 4 << 10
+	maxBodyEnvelope     = 4 << 10
+)
+
+// decodeBody decodes r's JSON body into v under the body cap. On failure it
+// writes the error response — 413 past the cap, 400 for malformed JSON —
+// and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	limit := int64(s.cfg.MaxBatch)*maxBodyBytesPerItem + maxBodyEnvelope
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON body: " + err.Error()})
+	return false
+}
+
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	if err := robust.Fire(FaultPanic); err != nil {
 		panic(err)
@@ -415,8 +440,7 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	box := s.aligner.Load()
 	a := box.a
 	var req alignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON body: " + err.Error()})
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Sources) == 0 {
@@ -698,8 +722,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req mutateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON body: " + err.Error()})
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Mutations) == 0 {

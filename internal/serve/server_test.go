@@ -12,11 +12,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ceaff/internal/mat"
 	"ceaff/internal/match"
 	"ceaff/internal/obs"
 	"ceaff/internal/robust"
@@ -518,4 +520,62 @@ func TestServerLifecycleAndGoroutines(t *testing.T) {
 	// Everything spawned by the server lifecycle must be gone.
 	client.CloseIdleConnections()
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= baseline })
+}
+
+// TestServerBodyCap pins the pre-decode body cap on /v1/align and
+// /v1/mutate: a body past MaxBatch items of maxBodyBytesPerItem bytes is
+// answered 413 before it is decoded, while a full MaxBatch request of long
+// source names still fits.
+func TestServerBodyCap(t *testing.T) {
+	const batch = 8
+	names := make([]string, batch)
+	for i := range names {
+		// Long names, leaving room under the per-item ceiling for the
+		// quoting and separators.
+		names[i] = fmt.Sprintf("%03d-%s", i, strings.Repeat("n", maxBodyBytesPerItem-16))
+	}
+	fused := mat.NewDense(batch, batch)
+	for i := 0; i < batch; i++ {
+		fused.Set(i, i, 1)
+	}
+	e, err := NewStaticEngine(fused, nil, names, names, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testServerConfig()
+	cfg.MaxBatch = batch
+	srv := NewServer(cfg, obs.NewRegistry())
+	srv.SetAligner(e)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	status, body := postAlignRaw(t, ts.Client(), ts.URL, names...)
+	if status != http.StatusOK {
+		t.Fatalf("MaxBatch request of long names answered %d: %s", status, body)
+	}
+
+	limit := batch*maxBodyBytesPerItem + maxBodyEnvelope
+	padded := `{"sources":["0"],"pad":"` + strings.Repeat("a", limit) + `"}`
+	overBatch, _ := json.Marshal(alignRequest{Sources: append(names, names...)})
+	for name, body := range map[string]string{"padded": padded, "over-batch": string(overBatch)} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/align", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s align body of %d bytes: status %d, want 413", name, len(body), resp.StatusCode)
+		}
+	}
+
+	h := newMutHarness(t, stubBuild, DefaultUpdaterConfig())
+	mutLimit := testServerConfig().MaxBatch*maxBodyBytesPerItem + maxBodyEnvelope
+	status, got, _ := postMutate(t, h.ts, `{"mutations":[],"pad":"`+strings.Repeat("a", mutLimit)+`"}`)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized mutate body: status %d (%s), want 413", status, got)
+	}
+	if seq := h.log.Seq(); seq != 0 {
+		t.Fatalf("wal seq %d after a refused body, want 0", seq)
+	}
 }

@@ -13,39 +13,68 @@ import (
 	"ceaff/internal/obs"
 )
 
-// TestShardedEngineBitIdentity pins the sharded router's contract: for any
-// shard count, every response — collective, greedy, grouped, candidates —
-// is bit-identical to the unsharded engine. Runs in the GOMAXPROCS=1/4
-// determinism suite.
+// newLocalRouter splits base into nparts partitions and serves them through
+// a Router over in-process LocalTransports with the production router
+// defaults — the `ceaffd -shards N` topology.
+func newLocalRouter(t *testing.T, base *Engine, nparts int) (*Router, []*Partition) {
+	t.Helper()
+	parts, err := NewPartitions(base, nparts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]Transport, len(parts))
+	for i, p := range parts {
+		ts[i] = &LocalTransport{P: p}
+	}
+	rt, err := NewRouter(context.Background(), DefaultRouterConfig(), ts, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt, parts
+}
+
+// TestShardedEngineBitIdentity pins the sharded topology's contract: for
+// any partition count, a Router over in-process partitions answers every
+// query — collective, greedy, grouped, candidates — bit-identically to the
+// unsharded engine. Runs in the GOMAXPROCS=1/4 determinism suite.
 func TestShardedEngineBitIdentity(t *testing.T) {
 	const n = 30
 	base := literalEngine(coalesceTestMatrix(n))
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(13))
 
-	for _, nshards := range []int{1, 3, 8} {
-		se, err := NewShardedEngine(base, nshards)
-		if err != nil {
-			t.Fatal(err)
+	for _, nparts := range []int{1, 3, 8} {
+		rt, parts := newLocalRouter(t, base, nparts)
+		if rt.NumSources() != base.NumSources() {
+			t.Fatalf("%d partitions: NumSources %d != %d", nparts, rt.NumSources(), base.NumSources())
 		}
-		if se.NumSources() != base.NumSources() {
-			t.Fatalf("%d shards: NumSources %d != %d", nshards, se.NumSources(), base.NumSources())
+		if rt.NumPartitions() != nparts {
+			t.Fatalf("%d partitions: router reports %d", nparts, rt.NumPartitions())
 		}
-		// Partition sanity: every row owned exactly once, locals consistent.
-		counts := make([]int, nshards)
-		for row := 0; row < n; row++ {
-			s := se.owner[row]
-			counts[s]++
-			if se.shards[s].rows[se.local[row]] != row {
-				t.Fatalf("%d shards: row %d local mapping broken", nshards, row)
-			}
-		}
+		// Partition sanity: every row owned exactly once, by the partition
+		// the router routes it to.
+		owner := rt.state.Load().owner
 		total := 0
-		for _, c := range counts {
-			total += c
+		for _, p := range parts {
+			total += p.Owned()
 		}
 		if total != n {
-			t.Fatalf("%d shards: partition covers %d rows, want %d", nshards, total, n)
+			t.Fatalf("%d partitions: partition covers %d rows, want %d", nparts, total, n)
+		}
+		for row := 0; row < n; row++ {
+			owners := 0
+			for i, p := range parts {
+				if p.Owns(row) {
+					owners++
+					if owner[row] != i {
+						t.Fatalf("%d partitions: row %d owned by %d, routed to %d", nparts, row, i, owner[row])
+					}
+				}
+			}
+			if owners != 1 {
+				t.Fatalf("%d partitions: row %d owned %d times", nparts, row, owners)
+			}
 		}
 
 		for trial := 0; trial < 30; trial++ {
@@ -63,39 +92,39 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := se.AlignCollective(ctx, rows, "")
+			got, err := rt.AlignCollective(ctx, rows, "")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d shards rows %v:\n got %+v\nwant %+v", nshards, rows, got, want)
+				t.Fatalf("%d partitions rows %v:\n got %+v\nwant %+v", nparts, rows, got, want)
 			}
-			if gg, wg := se.AlignGreedy(rows), base.AlignGreedy(rows); !reflect.DeepEqual(gg, wg) {
-				t.Fatalf("%d shards greedy rows %v:\n got %+v\nwant %+v", nshards, rows, gg, wg)
+			if gg, wg := rt.AlignGreedy(rows), base.AlignGreedy(rows); !reflect.DeepEqual(gg, wg) {
+				t.Fatalf("%d partitions greedy rows %v:\n got %+v\nwant %+v", nparts, rows, gg, wg)
 			}
 			wantC, err := base.Candidates(ctx, rows[0], 1+r.Intn(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotC, err := se.Candidates(ctx, rows[0], len(wantC))
+			gotC, err := rt.Candidates(ctx, rows[0], len(wantC))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotC, wantC) {
-				t.Fatalf("%d shards candidates row %d:\n got %+v\nwant %+v", nshards, rows[0], gotC, wantC)
+				t.Fatalf("%d partitions candidates row %d:\n got %+v\nwant %+v", nparts, rows[0], gotC, wantC)
 			}
 		}
 
 		// Grouped execution (the coalescer path) against per-group calls.
 		groups := [][]int{{0, 5, 9}, {2}, {}, {7, 1}}
-		gotG, err := se.AlignCollectiveGroups(ctx, groups, nil)
+		gotG, err := rt.AlignCollectiveGroups(ctx, groups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for g, rows := range groups {
 			if len(rows) == 0 {
 				if len(gotG[g]) != 0 {
-					t.Fatalf("%d shards: empty group got %+v", nshards, gotG[g])
+					t.Fatalf("%d partitions: empty group got %+v", nparts, gotG[g])
 				}
 				continue
 			}
@@ -104,13 +133,13 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotG[g], want) {
-				t.Fatalf("%d shards group %d:\n got %+v\nwant %+v", nshards, g, gotG[g], want)
+				t.Fatalf("%d partitions group %d:\n got %+v\nwant %+v", nparts, g, gotG[g], want)
 			}
 		}
 	}
 
-	if _, err := NewShardedEngine(base, 0); err == nil {
-		t.Fatal("0 shards accepted")
+	if _, err := NewPartitions(base, 0); err == nil {
+		t.Fatal("0 partitions accepted")
 	}
 }
 
@@ -119,10 +148,7 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 func TestShardedServerResponseBitIdentity(t *testing.T) {
 	const n = 24
 	base := literalEngine(coalesceTestMatrix(n))
-	se, err := NewShardedEngine(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt, _ := newLocalRouter(t, base, 4)
 
 	mk := func(a Aligner) (*Server, *httptest.Server) {
 		cfg := testServerConfig()
@@ -133,7 +159,7 @@ func TestShardedServerResponseBitIdentity(t *testing.T) {
 	}
 	_, plainTS := mk(base)
 	defer plainTS.Close()
-	_, shardTS := mk(se)
+	_, shardTS := mk(rt)
 	defer shardTS.Close()
 
 	var wg sync.WaitGroup

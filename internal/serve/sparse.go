@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"ceaff/internal/blocking"
 	"ceaff/internal/core"
@@ -90,14 +89,7 @@ func (e *SparseEngine) NumSources() int { return len(e.srcNames) }
 
 // Resolve implements Aligner with Engine's key grammar.
 func (e *SparseEngine) Resolve(key string) (int, bool) {
-	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(e.srcNames) {
-			return i, true
-		}
-		return 0, false
-	}
-	i, ok := e.byName[key]
-	return i, ok
+	return resolveKey(key, len(e.srcNames), e.byName)
 }
 
 // Strategies implements Aligner: the blocked engine accepts only strategies
@@ -111,7 +103,7 @@ func (e *SparseEngine) AlignCollective(ctx context.Context, rows []int, strategy
 	if err != nil {
 		return nil, err
 	}
-	asn, err := core.AlignRowsSparseStrategy(ctx, e.cands, e.scores, rows, e.topK, st)
+	asn, err := core.AlignRowsSparse(ctx, e.cands, e.scores, rows, e.topK, st)
 	if err != nil {
 		return nil, err
 	}

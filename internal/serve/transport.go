@@ -62,8 +62,9 @@ type Transport interface {
 }
 
 // LocalTransport serves a Transport from an in-process Partition — the
-// existing single-process topology expressed through the interface, and
-// the bit-identity baseline the HTTP transport is tested against.
+// single-process sharded topology (`ceaffd -shards N`) expressed through
+// the interface, and the bit-identity baseline the HTTP transport is
+// tested against.
 type LocalTransport struct {
 	P *Partition
 }

@@ -3,8 +3,11 @@
 #
 # Boots three `ceaffd -replica` processes, each owning one slice of the
 # source space and speaking the framed binary gather protocol, plus one
-# `ceaffd -router` process in front of them. Asserts a healthy collective
-# answer first, then kill -9s one replica and asserts the router keeps
+# `ceaffd -router` process in front of them, and one `ceaffd -shards 3`
+# process serving the same split in process. Asserts a healthy collective
+# answer first, byte-identical align and candidates bodies from the router
+# fleet and the in-process shards (which then drain cleanly), then kill -9s
+# one replica and asserts the router keeps
 # answering 200 with Engine-Partial and per-source "degraded" markers
 # instead of failing, then restarts the replica on its old address and
 # asserts full recovery — and finally SIGTERMs everything and requires
@@ -14,12 +17,13 @@ set -eu
 workdir=$(mktemp -d)
 bin="$workdir/ceaffd"
 router_pid=""
+shards_pid=""
 pid0=""
 pid1=""
 pid2=""
 
 cleanup() {
-	for p in "$router_pid" "$pid0" "$pid1" "$pid2"; do
+	for p in "$router_pid" "$shards_pid" "$pid0" "$pid1" "$pid2"; do
 		if [ -n "$p" ] && kill -0 "$p" 2>/dev/null; then
 			kill -KILL "$p" 2>/dev/null || true
 		fi
@@ -79,6 +83,14 @@ addr1=$(wait_addr 1)
 addr2=$(wait_addr 2)
 echo "replica-smoke: replicas on $addr0 $addr1 $addr2"
 
+# The same split served in process: one daemon, three partitions behind
+# local transports, the same Router. It boots alongside the fleet.
+rm -f "$workdir/addr_s"
+"$bin" -shards 3 $DATASET_FLAGS \
+	-addr 127.0.0.1:0 -addrfile "$workdir/addr_s" -cache-size 0 \
+	-drain-timeout 10s >>"$workdir/shards.log" 2>&1 &
+shards_pid=$!
+
 # The router polls the fleet until every replica finishes its offline
 # pipeline, so it can boot concurrently with the replicas' warm-up.
 rm -f "$workdir/addr_r"
@@ -130,6 +142,44 @@ esac
 grep -qi 'Engine-Partial' "$workdir/headers" && fail "healthy fleet set Engine-Partial"
 echo "replica-smoke: healthy collective answer across 3 replicas"
 
+# The in-process shards must answer byte-identically to the fleet.
+i=0
+while [ ! -s "$workdir/addr_s" ]; do
+	kill -0 "$shards_pid" 2>/dev/null || fail "-shards daemon exited before binding"
+	i=$((i + 1))
+	[ "$i" -le 100 ] || fail "-shards addrfile never appeared"
+	sleep 0.1
+done
+saddr=$(cat "$workdir/addr_s")
+i=0
+while :; do
+	code=$(curl -s -m 5 -o /dev/null -w '%{http_code}' "http://$saddr/readyz" || echo 000)
+	[ "$code" = 200 ] && break
+	[ "$code" = 503 ] || [ "$code" = 000 ] || fail "-shards /readyz returned $code"
+	kill -0 "$shards_pid" 2>/dev/null || fail "-shards daemon died during boot"
+	i=$((i + 1))
+	[ "$i" -le 1800 ] || fail "-shards daemon never became ready"
+	sleep 0.1
+done
+for who in fleet shards; do
+	a=$raddr
+	[ "$who" = shards ] && a=$saddr
+	curl -sf -m 10 -o "$workdir/$who-align.json" -X POST "http://$a/v1/align" \
+		-H 'Content-Type: application/json' -d "$QUERY" || fail "$who align query failed"
+	curl -sf -m 10 -o "$workdir/$who-cands.json" \
+		"http://$a/v1/entity/3/candidates?k=5" || fail "$who candidates query failed"
+done
+cmp -s "$workdir/fleet-align.json" "$workdir/shards-align.json" ||
+	fail "-shards align body differs from the router fleet's"
+cmp -s "$workdir/fleet-cands.json" "$workdir/shards-cands.json" ||
+	fail "-shards candidates body differs from the router fleet's"
+kill -TERM "$shards_pid"
+rc=0
+wait "$shards_pid" || rc=$?
+[ "$rc" = 0 ] || fail "-shards daemon exited $rc after SIGTERM, want 0"
+shards_pid=""
+echo "replica-smoke: -shards 3 answers byte-identical to the fleet, drained cleanly"
+
 # kill -9 one replica: the router must answer partially, never 500.
 kill -KILL "$pid1"
 wait "$pid1" 2>/dev/null || true
@@ -178,4 +228,4 @@ for idx in 0 1 2; do
 	[ "$rc" = 0 ] || fail "replica $idx exited $rc after SIGTERM, want 0"
 	eval "pid$idx="
 done
-echo "replica-smoke: PASS (partial answers under loss, clean recovery, exit 0)"
+echo "replica-smoke: PASS (in-process shards match the fleet, partial answers under loss, clean recovery, exit 0)"
