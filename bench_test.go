@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ceaff/internal/baselines"
 	"ceaff/internal/bench"
@@ -544,9 +543,9 @@ func BenchmarkTrainEpochSteadyMedium(b *testing.B) {
 //
 // The BenchmarkServeAlign* family drives the daemon's HTTP handler with
 // 64 concurrent clients issuing single-source align queries over a 512 x
-// 4096 engine — large enough that answering from scratch does real work.
-// ZeroAlloc is the pre-coalescing configuration (no batching, no cache);
-// HeavyTraffic is the production default (coalescing + versioned cache). One benchmark op is a full sweep of
+// 8192 engine — large enough that answering from scratch does real work.
+// ZeroAlloc decides every query (no cache); HeavyTraffic is the production
+// default (versioned cache). One benchmark op is a full sweep of
 // benchServeOps requests, so the suite stays meaningful at the 3x
 // benchtime the regression gate uses (per-request timing at 3 iterations
 // would measure nothing but warm-up). The CI benchdiff gate watches
@@ -585,7 +584,6 @@ func benchServeAlign(b *testing.B, tune func(*serve.Config)) {
 	cfg := serve.DefaultServerConfig()
 	cfg.MaxInFlight = 2 * benchServeClients
 	cfg.MaxQueue = 8 * benchServeClients
-	cfg.CoalesceWindow = 0
 	cfg.CacheSize = 0
 	tune(&cfg)
 	srv := serve.NewServer(cfg, obs.NewRegistry())
@@ -640,27 +638,16 @@ func benchServeAlign(b *testing.B, tune func(*serve.Config)) {
 	b.ReportMetric(float64(b.N)*benchServeOps/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkServeAlignZeroAlloc isolates the arena encoder: same uncached,
-// uncoalesced path, bytes built in pooled scratch.
+// BenchmarkServeAlignZeroAlloc isolates the arena encoder: every query
+// decides (no cache), bytes built in pooled scratch.
 func BenchmarkServeAlignZeroAlloc(b *testing.B) {
 	benchServeAlign(b, func(cfg *serve.Config) {})
 }
 
-// BenchmarkServeAlignCoalesced batches concurrent queries into shared
-// collective executions (no cache, so every query still decides).
-func BenchmarkServeAlignCoalesced(b *testing.B) {
-	benchServeAlign(b, func(cfg *serve.Config) {
-		cfg.CoalesceWindow = time.Millisecond
-		cfg.CoalesceMaxRows = benchServeClients / 2
-	})
-}
-
-// BenchmarkServeAlignHeavyTraffic is the shipped default: coalescing +
-// versioned result cache + arena encoder.
+// BenchmarkServeAlignHeavyTraffic is the shipped default: versioned result
+// cache + arena encoder.
 func BenchmarkServeAlignHeavyTraffic(b *testing.B) {
 	benchServeAlign(b, func(cfg *serve.Config) {
-		cfg.CoalesceWindow = time.Millisecond
-		cfg.CoalesceMaxRows = benchServeClients / 2
 		cfg.CacheSize = 4 * benchServeSources
 	})
 }
@@ -717,7 +704,7 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
 // BenchmarkServeEncodeArena pins the response-encoding cost alone: a 64-decision
-// response over an instant aligner, caching and coalescing off, with a
+// response over an instant aligner, caching off, with a
 // reused request object and a discarding writer so per-op allocations are
 // the handler's own (decode + align copy + encode). The arena-vs-
 // encoding/json comparison of the encoder alone is
@@ -736,7 +723,6 @@ func BenchmarkServeEncodeArena(b *testing.B) {
 		}
 	}
 	cfg := serve.DefaultServerConfig()
-	cfg.CoalesceWindow = 0
 	cfg.CacheSize = 0
 	srv := serve.NewServer(cfg, obs.NewRegistry())
 	srv.SetAligner(&staticBenchAligner{dec: dec})

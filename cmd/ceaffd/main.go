@@ -14,7 +14,7 @@
 //	       [-default-timeout 5s] [-max-timeout 30s] [-drain-timeout 15s]
 //	       [-breaker-window 20] [-breaker-threshold 0.5] [-breaker-cooldown 10s]
 //	       [-wal path] [-rebuild-threshold 1] [-rebuild-interval 0]
-//	       [-coalesce-window 2ms] [-coalesce-max-rows 256] [-cache-size 4096]
+//	       [-cache-size 4096]
 //	       [-shards 0]
 //	       [-replica -partition i/N]
 //	       [-router -replicas url1,...,urlN] [-probe-interval 1s]
@@ -42,10 +42,10 @@
 // and the process exits 0; if the drain deadline passes, connections are
 // force-closed and it exits 1.
 //
-// The heavy-traffic path: concurrent /v1/align requests coalesce under
-// -coalesce-window (or -coalesce-max-rows, whichever trips first) into one
-// pooled collective execution with per-request demux; single-source answers
-// and candidate lists land in a -cache-size LRU keyed by engine version
+// The heavy-traffic path: every /v1/align request runs its own collective
+// decision on its handler goroutine, under its own deadline; single-source
+// answers, the matched unilateral rows of multi-source batches and
+// candidate lists land in a -cache-size LRU keyed by engine version
 // (invalidated wholesale on hot-swap); responses are encoded through the
 // arena-backed zero-allocation encoder. With -shards N, the source space
 // is partitioned across N consistent-hash partitions served in process by
@@ -94,6 +94,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -143,8 +144,6 @@ func main() {
 	walPath := flag.String("wal", "", "durable mutation log path; enables POST /v1/mutate")
 	rebuildThreshold := flag.Int("rebuild-threshold", 1, "pending mutations that trigger a background rebuild")
 	rebuildInterval := flag.Duration("rebuild-interval", 0, "periodic drain of sub-threshold pending mutations (0 = threshold only)")
-	coalesceWindow := flag.Duration("coalesce-window", 2*time.Millisecond, "merge concurrent align requests for up to this long (0 = off)")
-	coalesceMaxRows := flag.Int("coalesce-max-rows", 256, "flush a coalescing batch early at this many source rows")
 	cacheSize := flag.Int("cache-size", 4096, "versioned LRU result-cache entries (0 = off)")
 	shards := flag.Int("shards", 0, "partition the source space across N consistent-hash partitions served in process by the router (0 = unsharded)")
 	replica := flag.Bool("replica", false, "serve one partition of the source space and the binary row-gather protocol")
@@ -213,8 +212,6 @@ func main() {
 	scfg.Breaker.Window = *breakerWindow
 	scfg.Breaker.FailureThreshold = *breakerThreshold
 	scfg.Breaker.Cooldown = *breakerCooldown
-	scfg.CoalesceWindow = *coalesceWindow
-	scfg.CoalesceMaxRows = *coalesceMaxRows
 	scfg.CacheSize = *cacheSize
 	srv := serve.NewServer(scfg, rt.Metrics)
 
@@ -385,6 +382,13 @@ func main() {
 			time.Since(start).Seconds(), seq, *walPath)
 	}
 
+	// The offline pipeline's last collection can run while its temporaries
+	// are still live, which sets the next trigger at twice that size. Until
+	// the heap reaches it, every byte serving allocates would add to the
+	// resident set on top of the pipeline's dead temporaries. Collecting
+	// once here starts serving from the engine's live heap, so request
+	// garbage reuses the freed spans.
+	runtime.GC()
 	awaitDrain(ctx, stop, srv, serveErr, *drainTimeout, closers...)
 }
 

@@ -33,7 +33,7 @@ func validateRowSet(rows []int, bound int) error {
 // default, deferred acceptance; topK > 0 truncates each source's preference
 // list as in Config.PreferenceTopK. Callers that build their own
 // submatrices (the shard router's fan-out merge, a replica's owned rows)
-// and AlignRowGroups all decide through this one function.
+// and AlignRows all decide through this one function.
 //
 // A single-row matrix short-circuits to a linear argmax scan when the
 // strategy advertises Caps().ArgmaxSingle (deferred acceptance always
@@ -80,85 +80,39 @@ func singleRowChoice(row []float64) (int, bool) {
 	return best, true
 }
 
-// AlignRowGroups runs the collective EA decision over subsets of sources —
-// the online query path of the serving layer. Each group's selected rows of
-// the fused matrix compete for all targets under the same mechanics as the
-// full pipeline, without rerunning the offline decision over every source;
-// a single request is the one-group case.
+// AlignRows runs the collective EA decision over a subset of sources — the
+// online query path of the serving layer. The selected rows of the fused
+// matrix compete for all targets under the same mechanics as the full
+// pipeline, without rerunning the offline decision over every source.
 //
-// Every group's rows are gathered into a single pooled submatrix — one
-// scratch-arena draw and one pass over the fused matrix instead of one per
-// request, so steady-state serving traffic does not allocate a fresh
-// decision matrix — and each group then runs its own AlignGathered over
-// its slice of that matrix. Groups never compete with each other, so entry
-// g of the result is bit-identical to deciding groups[g] alone. Entry g is
-// positional: element p is the target chosen for groups[g][p], -1 if
-// unmatched.
-//
-// strategies[g] decides group g; nil entries (or a nil slice) select the
-// pipeline default, deferred acceptance. len(strategies) must be 0 or
-// len(groups). Rows may repeat across groups (two coalesced requests may
-// ask for the same source); out-of-range rows and duplicates within a group
-// are rejected.
+// The rows are gathered into one pooled submatrix — a scratch-arena draw,
+// so steady-state serving traffic does not allocate a fresh decision
+// matrix — and decided by AlignGathered under st (nil selects the pipeline
+// default, deferred acceptance). The result is positional: entry p is the
+// target chosen for rows[p], -1 if unmatched. Out-of-range and duplicate
+// rows are rejected.
 //
 // Cancellation is cooperative at row granularity during the gather and
-// checked once more before each group's decision.
-func AlignRowGroups(ctx context.Context, fused *mat.Dense, groups [][]int, topK int, strategies []match.Strategy) ([]match.Assignment, error) {
+// checked once more before the decision.
+func AlignRows(ctx context.Context, fused *mat.Dense, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
 	if fused == nil {
-		return nil, fmt.Errorf("core: AlignRowGroups on nil matrix")
+		return nil, fmt.Errorf("core: AlignRows on nil matrix")
 	}
-	if len(strategies) != 0 && len(strategies) != len(groups) {
-		return nil, fmt.Errorf("core: %d strategies for %d groups", len(strategies), len(groups))
+	if err := validateRowSet(rows, fused.Rows); err != nil {
+		return nil, err
 	}
-	total := 0
-	for _, g := range groups {
-		if err := validateRowSet(g, fused.Rows); err != nil {
-			return nil, err
-		}
-		total += len(g)
+	if len(rows) == 0 {
+		return match.Assignment{}, nil
 	}
-	out := make([]match.Assignment, len(groups))
-	if total == 0 {
-		for g := range out {
-			out[g] = match.Assignment{}
-		}
-		return out, nil
-	}
-	sub := mat.GetDense(total, fused.Cols)
+	sub := mat.GetDense(len(rows), fused.Cols)
 	defer mat.PutDense(sub)
-	pos := 0
-	for _, g := range groups {
-		for _, r := range g {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			copy(sub.Row(pos), fused.Row(r))
-			pos++
-		}
-	}
-	off := 0
-	for g, rows := range groups {
-		if len(rows) == 0 {
-			out[g] = match.Assignment{}
-			continue
-		}
-		view := &mat.Dense{
-			Rows: len(rows),
-			Cols: sub.Cols,
-			Data: sub.Data[off*sub.Cols : (off+len(rows))*sub.Cols],
-		}
-		var st match.Strategy
-		if len(strategies) != 0 {
-			st = strategies[g]
-		}
-		asn, err := AlignGathered(ctx, view, topK, st)
-		if err != nil {
+	for p, r := range rows {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		out[g] = asn
-		off += len(rows)
+		copy(sub.Row(p), fused.Row(r))
 	}
-	return out, nil
+	return AlignGathered(ctx, sub, topK, st)
 }
 
 // AlignRowsSparse is the collective subset decision over the blocked
@@ -170,7 +124,7 @@ func AlignRowGroups(ctx context.Context, fused *mat.Dense, groups [][]int, topK 
 // structure (Result.FusedSparse), aligned with cands. The returned
 // assignment is positional: entry p is the global target index chosen for
 // rows[p], -1 when the source exhausts its candidates. Out-of-range and
-// duplicate rows are rejected as in AlignRowGroups.
+// duplicate rows are rejected as in AlignRows.
 func AlignRowsSparse(ctx context.Context, cands blocking.Candidates, scores [][]float64, rows []int, topK int, st match.Strategy) (match.Assignment, error) {
 	if st != nil && !st.Caps().Sparse {
 		return nil, fmt.Errorf("core: %s assignment needs the dense cost matrix; use the dense pipeline or a sparse decision mode", st.Name())

@@ -19,30 +19,10 @@ func subsetTestMatrix() *mat.Dense {
 	})
 }
 
-// alignRows decides one request: the one-group case of AlignRowGroups
-// under the default strategy.
-func alignRows(ctx context.Context, fused *mat.Dense, rows []int, topK int) (match.Assignment, error) {
-	out, err := AlignRowGroups(ctx, fused, [][]int{rows}, topK, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// gatherRows copies the selected rows of fused into a fresh submatrix — the
-// test's own gather, independent of AlignRowGroups' pooled one.
-func gatherRows(fused *mat.Dense, rows []int) *mat.Dense {
-	sub := mat.NewDense(len(rows), fused.Cols)
-	for p, r := range rows {
-		copy(sub.Row(p), fused.Row(r))
-	}
-	return sub
-}
-
 func TestAlignRowsMatchesFullDecision(t *testing.T) {
 	fused := subsetTestMatrix()
 	full := match.DeferredAcceptance(fused)
-	got, err := alignRows(context.Background(), fused, []int{0, 1, 2}, 0)
+	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +37,7 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 	fused := subsetTestMatrix()
 	// Sources 0 and 1 both prefer target 0; collectively source 0 (score
 	// 0.9) must win it and source 1 fall back to target 1.
-	got, err := alignRows(context.Background(), fused, []int{0, 1}, 0)
+	got, err := AlignRows(context.Background(), fused, []int{0, 1}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +45,7 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 		t.Fatalf("collective subset decision = %v, want [0 1]", got)
 	}
 	// Reordering the request must permute the answer, not change it.
-	rev, err := alignRows(context.Background(), fused, []int{1, 0}, 0)
+	rev, err := AlignRows(context.Background(), fused, []int{1, 0}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,18 +56,47 @@ func TestAlignRowsSubsetCompetes(t *testing.T) {
 
 func TestAlignRowsValidation(t *testing.T) {
 	fused := subsetTestMatrix()
-	if _, err := alignRows(context.Background(), nil, []int{0}, 0); err == nil {
+	if _, err := AlignRows(context.Background(), nil, []int{0}, 0, nil); err == nil {
 		t.Error("nil matrix accepted")
 	}
-	if _, err := alignRows(context.Background(), fused, []int{3}, 0); err == nil {
+	if _, err := AlignRows(context.Background(), fused, []int{3}, 0, nil); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := alignRows(context.Background(), fused, []int{1, 1}, 0); err == nil {
+	if _, err := AlignRows(context.Background(), fused, []int{1, 1}, 0, nil); err == nil {
 		t.Error("duplicate rows accepted")
 	}
-	got, err := alignRows(context.Background(), fused, nil, 0)
+	got, err := AlignRows(context.Background(), fused, nil, 0, nil)
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty rows: got %v, %v", got, err)
+	}
+}
+
+// TestAlignRowGroupsValidation runs the former grouped cases through
+// AlignRows, one call per row set: a bad row after a good one is still
+// rejected, and a row may appear in several sets because each call is its
+// own competition.
+func TestAlignRowGroupsValidation(t *testing.T) {
+	ctx := context.Background()
+	fused := subsetTestMatrix()
+	if _, err := AlignRows(ctx, nil, []int{0}, 0, nil); err == nil {
+		t.Error("nil matrix accepted")
+	}
+	if _, err := AlignRows(ctx, fused, []int{0, 5}, 0, nil); err == nil {
+		t.Error("out-of-range row accepted")
+	}
+	if _, err := AlignRows(ctx, fused, []int{1, 1}, 0, nil); err == nil {
+		t.Error("within-set duplicate accepted")
+	}
+	var got []match.Assignment
+	for _, rows := range [][]int{{0, 1}, {0}, {}} {
+		a, err := AlignRows(ctx, fused, rows, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, a)
+	}
+	if len(got[0]) != 2 || len(got[1]) != 1 || got[1][0] != 0 || len(got[2]) != 0 {
+		t.Fatalf("per-set results malformed: %v", got)
 	}
 }
 
@@ -95,15 +104,15 @@ func TestAlignRowsCancelled(t *testing.T) {
 	fused := subsetTestMatrix()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := alignRows(ctx, fused, []int{0, 1}, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled alignRows returned %v, want context.Canceled", err)
+	if _, err := AlignRows(ctx, fused, []int{0, 1}, 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled AlignRows returned %v, want context.Canceled", err)
 	}
 }
 
 func TestAlignRowsTopK(t *testing.T) {
 	fused := subsetTestMatrix()
 	full := match.DeferredAcceptanceTopK(fused, 2)
-	got, err := alignRows(context.Background(), fused, []int{0, 1, 2}, 2)
+	got, err := AlignRows(context.Background(), fused, []int{0, 1, 2}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,82 +178,8 @@ func TestAlignGatheredSingleRowFastPath(t *testing.T) {
 
 func nan() float64 { return math.NaN() }
 
-// TestAlignRowGroupsBitIdentity pins the coalescer's execution primitive:
-// every group's assignment equals an independent AlignGathered decision over
-// the group's own gather, for
-// randomized groups that overlap across (but not within) groups.
-func TestAlignRowGroupsBitIdentity(t *testing.T) {
-	ctx := context.Background()
-	for trial := 0; trial < 50; trial++ {
-		n := 5 + trial%20
-		fused := randDense(n, n, uint64(trial)*31+7)
-		s := uint64(trial) + 99
-		next := func(mod int) int {
-			s = s*6364136223846793005 + 1442695040888963407
-			return int((s >> 33) % uint64(mod))
-		}
-		groups := make([][]int, 1+next(4))
-		for g := range groups {
-			seen := map[int]bool{}
-			for len(groups[g]) < 1+next(n) {
-				r := next(n)
-				if !seen[r] {
-					seen[r] = true
-					groups[g] = append(groups[g], r)
-				}
-			}
-		}
-		topK := 0
-		if trial%3 == 0 {
-			topK = 1 + next(n)
-		}
-		got, err := AlignRowGroups(ctx, fused, groups, topK, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for g, rows := range groups {
-			want, err := AlignGathered(ctx, gatherRows(fused, rows), topK, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for p := range want {
-				if got[g][p] != want[p] {
-					t.Fatalf("trial %d group %d pos %d: grouped %d != solo %d (rows %v)",
-						trial, g, p, got[g][p], want[p], rows)
-				}
-			}
-		}
-	}
-}
-
-func TestAlignRowGroupsValidation(t *testing.T) {
-	ctx := context.Background()
-	fused := subsetTestMatrix()
-	if _, err := AlignRowGroups(ctx, nil, [][]int{{0}}, 0, nil); err == nil {
-		t.Error("nil matrix accepted")
-	}
-	if _, err := AlignRowGroups(ctx, fused, [][]int{{0}, {5}}, 0, nil); err == nil {
-		t.Error("out-of-range row accepted")
-	}
-	if _, err := AlignRowGroups(ctx, fused, [][]int{{1, 1}}, 0, nil); err == nil {
-		t.Error("within-group duplicate accepted")
-	}
-	// Across-group duplicates are the point of coalescing: allowed.
-	got, err := AlignRowGroups(ctx, fused, [][]int{{0, 1}, {0}, {}}, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || len(got[1]) != 1 || got[1][0] != 0 || len(got[2]) != 0 {
-		t.Fatalf("grouped result malformed: %v", got)
-	}
-	out, err := AlignRowGroups(ctx, fused, nil, 0, nil)
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty groups: got %v, %v", out, err)
-	}
-}
-
 // TestAlignRowsSparseMatchesDense pins the sparse subset decision against
-// the dense one-group AlignRowGroups on full candidate lists (every target
+// the dense AlignRows on full candidate lists (every target
 // a candidate of every source): same competition, same tie-breaks, same
 // assignments.
 func TestAlignRowsSparseMatchesDense(t *testing.T) {
@@ -279,7 +214,7 @@ func TestAlignRowsSparseMatchesDense(t *testing.T) {
 		if trial%2 == 0 {
 			topK = 1 + next(n+2)
 		}
-		want, err := alignRows(ctx, fused, rows, topK)
+		want, err := AlignRows(ctx, fused, rows, topK, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,12 +13,14 @@ import (
 // Publish additionally calls Reset so a swap discards the whole working set
 // at once instead of waiting for stale keys to age out of the LRU.
 //
-// Only two result shapes are cached, and only when they are pure functions
-// of (engine version, source row, k): single-source collective align answers
-// (a lone source's decision depends on nobody else's rows) and candidate
-// lists. Multi-source align batches are not cacheable — their collective
-// answer depends on the whole row set — and degraded answers are never
-// inserted, so a breaker-open period cannot poison the cache.
+// Entries are per-row and only ever pure functions of (engine version,
+// source row, k): single-source collective align answers (a lone source's
+// decision depends on nobody else's rows), candidate lists, and the matched
+// unilateral rows of multi-source batches, which enter through putSampled
+// because they are provably the single-source answer. A batch's collective
+// answer as a whole is never stored — it depends on the whole row set — and
+// degraded answers are never inserted, so a breaker-open period cannot
+// poison the cache.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int

@@ -1,9 +1,16 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"ceaff/internal/mat"
 	"ceaff/internal/obs"
 )
 
@@ -153,5 +160,148 @@ func TestCacheEvictionMetric(t *testing.T) {
 	}
 	if got := reg.Counter("serve.cache.evictions").Value(); got != 3 {
 		t.Fatalf("evictions counter %v, want 3", got)
+	}
+}
+
+// TestCacheResponseBitIdentity pins the result cache's correctness:
+// concurrent requests answered by a caching server — misses on the first
+// round, cache hits on the second — return byte-for-byte
+// the responses an uncached server produces for the same keys. Runs in the
+// GOMAXPROCS=1/4 determinism suite.
+func TestCacheResponseBitIdentity(t *testing.T) {
+	const n = 24
+	engine := literalEngine(tiedTestMatrix(n))
+
+	plainCfg := testServerConfig()
+	plainCfg.CacheSize = 0
+	plain := NewServer(plainCfg, obs.NewRegistry())
+	plain.SetAligner(engine)
+	plainTS := httptest.NewServer(plain.Handler())
+	defer plainTS.Close()
+
+	fastCfg := testServerConfig()
+	fastCfg.CacheSize = 64
+	fastCfg.MaxInFlight = 64
+	fastCfg.MaxQueue = 256
+	fast := NewServer(fastCfg, obs.NewRegistry())
+	fast.SetAligner(engine)
+	fastTS := httptest.NewServer(fast.Handler())
+	defer fastTS.Close()
+
+	// Reference answers from the plain server, one request per key set.
+	r := rand.New(rand.NewSource(77))
+	type query struct{ keys []string }
+	queries := make([]query, 64)
+	for i := range queries {
+		nkeys := 1 + r.Intn(3)
+		seen := map[int]bool{}
+		var keys []string
+		for len(keys) < nkeys {
+			row := r.Intn(n)
+			if !seen[row] {
+				seen[row] = true
+				keys = append(keys, fmt.Sprint(row))
+			}
+		}
+		queries[i] = query{keys: keys}
+	}
+	client := plainTS.Client()
+	want := make([][]byte, len(queries))
+	for i, q := range queries {
+		status, body := postAlignRaw(t, client, plainTS.URL, q.keys...)
+		if status != http.StatusOK {
+			t.Fatalf("plain query %v: status %d", q.keys, status)
+		}
+		want[i] = body
+	}
+
+	// Fire all queries at the caching server concurrently, twice — the
+	// second round answers single-source queries from the cache. Every
+	// response must match the plain server's bytes.
+	fc := fastTS.Client()
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan string, len(queries))
+		for i, q := range queries {
+			wg.Add(1)
+			go func(i int, q query) {
+				defer wg.Done()
+				status, body := postAlignRaw(t, fc, fastTS.URL, q.keys...)
+				if status != http.StatusOK {
+					errs <- fmt.Sprintf("round %d query %v: status %d", round, q.keys, status)
+					return
+				}
+				if string(body) != string(want[i]) {
+					errs <- fmt.Sprintf("round %d query %v:\n got %s\nwant %s", round, q.keys, body, want[i])
+				}
+			}(i, q)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+	}
+
+	// The second round actually hit the cache.
+	if hits := fast.reg.Counter("serve.cache.hits").Value(); hits == 0 {
+		t.Fatal("second round produced no cache hits")
+	}
+}
+
+// TestCacheInvalidationOnHotSwap is the chaos-style satellite: answers
+// cached under one engine version must never be served after a Publish,
+// even for the same source key.
+func TestCacheInvalidationOnHotSwap(t *testing.T) {
+	cfg := testServerConfig()
+	cfg.CacheSize = 64
+	srv := NewServer(cfg, obs.NewRegistry())
+
+	v1 := literalEngine(mat.FromRows([][]float64{{0.9, 0.1}, {0.2, 0.8}}))
+	srv.Publish(v1, 1)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	_, body1 := postAlignRaw(t, client, ts.URL, "0")
+	_, again := postAlignRaw(t, client, ts.URL, "0")
+	if string(body1) != string(again) {
+		t.Fatalf("cached answer differs:\n%s\n%s", body1, again)
+	}
+	if srv.reg.Counter("serve.cache.hits").Value() == 0 {
+		t.Fatal("repeat query did not hit the cache")
+	}
+
+	// Swap in an engine whose row 0 prefers the other target. A stale
+	// cached answer would still name target A.
+	v2 := literalEngine(mat.FromRows([][]float64{{0.1, 0.9}, {0.8, 0.2}}))
+	srv.Publish(v2, 2)
+	_, body2 := postAlignRaw(t, client, ts.URL, "0")
+	if string(body2) == string(body1) {
+		t.Fatalf("post-swap answer identical to pre-swap: %s", body2)
+	}
+	var resp alignResponse
+	if err := json.Unmarshal(body2, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Results[0].TargetIndex != 1 {
+		t.Fatalf("post-swap target %d, want 1 (stale cache?)", resp.Results[0].TargetIndex)
+	}
+
+	// Candidates go through the same versioned keys.
+	cresp, err := client.Get(ts.URL + "/v1/entity/0/candidates?k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cbody, _ := io.ReadAll(cresp.Body)
+	cresp.Body.Close()
+	var cands struct {
+		Candidates []Candidate `json:"candidates"`
+	}
+	if err := json.Unmarshal(cbody, &cands); err != nil {
+		t.Fatal(err)
+	}
+	if len(cands.Candidates) != 1 || cands.Candidates[0].TargetIndex != 1 {
+		t.Fatalf("post-swap candidates %+v, want target 1 first", cands.Candidates)
 	}
 }

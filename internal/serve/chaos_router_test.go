@@ -137,7 +137,7 @@ func allKeys(n int) []string {
 // full bit-identical recovery once the replica is back and probed.
 func TestChaosReplicaKillMidGather(t *testing.T) {
 	const n, nparts = 24, 3
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	cfg := routerTestConfig()
 	cfg.GatherTimeout = 2 * time.Second
 	reg := obs.NewRegistry()
@@ -241,7 +241,7 @@ func TestChaosReplicaKillMidGather(t *testing.T) {
 // must show the win.
 func TestChaosSlowReplicaHedgeWins(t *testing.T) {
 	const n, nparts = 16, 2
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	parts, err := NewPartitions(base, nparts)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestChaosSlowReplicaHedgeWins(t *testing.T) {
 // fail the request.
 func TestChaosTornWireFrames(t *testing.T) {
 	const n, nparts = 16, 2
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	cfg := routerTestConfig()
 	reg := obs.NewRegistry()
 	reps, rt := chaosFleet(t, base, nparts, cfg, reg)
@@ -376,7 +376,7 @@ func TestChaosTornWireFrames(t *testing.T) {
 // adopts it fleet-wide and full answers resume.
 func TestChaosVersionSkewHotSwap(t *testing.T) {
 	const n, nparts = 16, 2
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	parts, err := NewPartitions(base, nparts)
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +458,7 @@ func TestChaosVersionSkewHotSwap(t *testing.T) {
 // it, probes, and recovers bit-identically.
 func TestChaosPartitionLossBreakerGate(t *testing.T) {
 	const n, nparts = 16, 2
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	var clockNs atomic.Int64
 	cfg := routerTestConfig()
 	cfg.GatherTimeout = 2 * time.Second

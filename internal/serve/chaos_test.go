@@ -1,18 +1,23 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ceaff/internal/core"
 	"ceaff/internal/gcn"
@@ -560,5 +565,74 @@ func TestChaosKillRecoveryBitIdentity(t *testing.T) {
 	}
 	if same {
 		t.Fatal("mutated rebuild produced bit-identical structural features — mutations had no effect")
+	}
+}
+
+// TestChaosSlowlorisBody pins that a client trickling its request body
+// cannot hold an admission slot past its budget. With one slot and no
+// queue, the slow request holds the slot (a rival is shed), is cut off at
+// its X-Deadline-Ms with 408, and the next request is served.
+func TestChaosSlowlorisBody(t *testing.T) {
+	const budget = 300 * time.Millisecond
+	cfg := testServerConfig()
+	cfg.MaxInFlight, cfg.MaxQueue = 1, 0
+	srv := NewServer(cfg, obs.NewRegistry())
+	srv.SetAligner(newStubAligner(8))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	base := "http://" + l.Addr().String()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Sent at one byte per 50ms, this body would take ten seconds.
+	body := `{"sources":["0"]}` + strings.Repeat(" ", 200)
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/align HTTP/1.1\r\nHost: slow\r\nContent-Type: application/json\r\n"+
+		"X-Deadline-Ms: %d\r\nContent-Length: %d\r\n\r\n", budget.Milliseconds(), len(body))
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for i := 0; i < len(body); i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Millisecond):
+			}
+			if _, err := conn.Write([]byte{body[i]}); err != nil {
+				return
+			}
+		}
+	}()
+
+	waitFor(t, func() bool { return srv.admission.InFlight() == 1 })
+	if resp, _ := postAlign(t, client, base, nil, "1"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("rival while the slow body holds the slot: status %d, want 429", resp.StatusCode)
+	}
+
+	conn.SetReadDeadline(start.Add(budget + 2*time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("slow body held its slot past its %v budget: %v", budget, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("slow body: status %d, want 408", resp.StatusCode)
+	}
+	waitFor(t, func() bool { return srv.admission.InFlight() == 0 })
+	if resp, got := postAlign(t, client, base, nil, "2"); resp.StatusCode != http.StatusOK || got.Degraded {
+		t.Fatalf("request after the slow body: status %d degraded %v, want 200", resp.StatusCode, got.Degraded)
 	}
 }

@@ -76,12 +76,13 @@ type Aligner interface {
 	Candidates(ctx context.Context, row, k int) ([]Candidate, error)
 }
 
-// GroupAligner is the optional batched surface the coalescer prefers:
-// several independent align requests answered in one pass over the engine.
-// Group g of the result must be bit-identical to AlignCollective(ctx,
-// groups[g], strategies[g]) — groups share the gather, never the
-// competition or the strategy. A nil strategies slice means every group
-// uses the default.
+// GroupAligner is a batched surface: several independent align requests
+// answered in one pass over the engine, group g of the result bit-identical
+// to AlignCollective(ctx, groups[g], strategies[g]). No serving type
+// implements it now. Its only caller, a cross-request batcher, was deleted:
+// under cache-miss-heavy traffic it batched one request per window and
+// added the window to every miss. The declaration stays because the
+// perfbench harness's aligner shim type-asserts against it.
 type GroupAligner interface {
 	AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error)
 }
@@ -93,23 +94,6 @@ func strategyFor(name string) (match.Strategy, error) {
 		return nil, nil
 	}
 	return match.ByName(name)
-}
-
-// strategiesFor maps per-group strategy names the same way; a nil or empty
-// input yields a nil slice (all defaults).
-func strategiesFor(names []string) ([]match.Strategy, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	out := make([]match.Strategy, len(names))
-	for i, name := range names {
-		st, err := strategyFor(name)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
 }
 
 // Engine holds the offline pipeline's output in memory and answers online
@@ -214,42 +198,22 @@ func resolveKey(key string, n int, byName map[string]int) (int, bool) {
 // strategy (Hungarian included — the dense matrix is in memory).
 func (e *Engine) Strategies() []string { return match.StrategyNames() }
 
-// AlignCollective implements Aligner as the one-group case of the grouped
-// path: the requested sources compete for targets under the selected
-// decision strategy (deferred acceptance when strategy is ""), exactly as
-// the batch pipeline decides, restricted to the queried rows.
+// AlignCollective implements Aligner via core.AlignRows: the requested
+// sources compete for targets under the selected decision strategy
+// (deferred acceptance when strategy is ""), exactly as the batch pipeline
+// decides, restricted to the queried rows.
 func (e *Engine) AlignCollective(ctx context.Context, rows []int, strategy string) ([]Decision, error) {
-	return alignOneGroup(ctx, e, rows, strategy)
-}
-
-// alignOneGroup answers a single request through a GroupAligner's grouped
-// path, so one request and a coalesced batch share one decision path.
-func alignOneGroup(ctx context.Context, ga GroupAligner, rows []int, strategy string) ([]Decision, error) {
-	out, err := ga.AlignCollectiveGroups(ctx, [][]int{rows}, []string{strategy})
+	st, err := strategyFor(strategy)
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
-}
-
-// AlignCollectiveGroups implements GroupAligner via core.AlignRowGroups:
-// one pooled gather over all groups' rows, one collective decision per
-// group — the coalescer's amortized execution path.
-func (e *Engine) AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error) {
-	sts, err := strategiesFor(strategies)
+	asn, err := core.AlignRows(ctx, e.fused, rows, e.topK, st)
 	if err != nil {
 		return nil, err
 	}
-	asns, err := core.AlignRowGroups(ctx, e.fused, groups, e.topK, sts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Decision, len(groups))
-	for g, rows := range groups {
-		out[g] = make([]Decision, len(rows))
-		for p, row := range rows {
-			out[g][p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), asns[g][p])
-		}
+	out := make([]Decision, len(rows))
+	for p, row := range rows {
+		out[p] = decisionFromRow(e.srcNames, e.tgtNames, row, e.fused.Row(row), asn[p])
 	}
 	return out, nil
 }

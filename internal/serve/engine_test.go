@@ -40,6 +40,18 @@ func literalEngine(fused *mat.Dense) *Engine {
 	}
 }
 
+// tiedTestMatrix builds a deterministic fused matrix with deliberate
+// score collisions so tie-breaks matter.
+func tiedTestMatrix(n int) *mat.Dense {
+	m := mat.NewDense(n, n)
+	s := uint64(5)
+	for i := range m.Data {
+		s = s*6364136223846793005 + 1442695040888963407
+		m.Data[i] = float64((s>>33)%23) / 23
+	}
+	return m
+}
+
 func TestEngineResolve(t *testing.T) {
 	e := literalEngine(mat.FromRows([][]float64{{0.9, 0.1}, {0.2, 0.8}}))
 	for key, want := range map[string]int{"0": 0, "1": 1, "a": 0, "b": 1} {

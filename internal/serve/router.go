@@ -295,7 +295,7 @@ func (rt *Router) Version() uint64 { return rt.state.Load().version }
 // NumPartitions reports the split width (observability hook).
 func (rt *Router) NumPartitions() int { return len(rt.replicas) }
 
-// --- Aligner / GroupAligner ---
+// --- Aligner ---
 
 // NumSources implements Aligner.
 func (rt *Router) NumSources() int { return len(rt.state.Load().srcNames) }
@@ -310,89 +310,53 @@ func (rt *Router) Resolve(key string) (int, bool) {
 // registered strategy applies.
 func (rt *Router) Strategies() []string { return match.StrategyNames() }
 
-// AlignCollective implements Aligner as the one-group case of the grouped
-// path.
+// AlignCollective implements Aligner: one fan-out to the partitions owning
+// rows, then one central collective decision over the rows that came back.
+// Rows whose partition is lost degrade to unmatched "degraded": true
+// decisions and are excluded from the competition — the reachable rows'
+// answer is exactly what a request naming only them would get.
 func (rt *Router) AlignCollective(ctx context.Context, rows []int, strategy string) ([]Decision, error) {
-	return alignOneGroup(ctx, rt, rows, strategy)
-}
-
-// AlignCollectiveGroups implements GroupAligner: all groups share one
-// fan-out to the partitions (one gather per partition regardless of group
-// count), then each group runs its own central collective decision over
-// the rows that came back. Rows whose partition is lost degrade to
-// unmatched "degraded": true decisions and are excluded from their group's
-// competition — the reachable rows' answer is exactly what a request
-// naming only them would get.
-func (rt *Router) AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error) {
-	sts, err := strategiesFor(strategies)
+	decide, err := strategyFor(strategy)
 	if err != nil {
 		return nil, err
-	}
-	if len(sts) != 0 && len(sts) != len(groups) {
-		return nil, fmt.Errorf("serve: %d strategies for %d groups", len(sts), len(groups))
 	}
 	st := rt.state.Load()
-	total := 0
-	for _, g := range groups {
-		if err := validRequestRows(g, len(st.srcNames)); err != nil {
-			return nil, err
-		}
-		total += len(g)
+	if err := validRequestRows(rows, len(st.srcNames)); err != nil {
+		return nil, err
 	}
-	out := make([][]Decision, len(groups))
-	if total == 0 {
-		for g := range out {
-			out[g] = []Decision{}
-		}
-		return out, nil
+	if len(rows) == 0 {
+		return []Decision{}, nil
 	}
-	flat := make([]int, 0, total)
-	for _, g := range groups {
-		flat = append(flat, g...)
-	}
-	gathered, err := rt.gatherRows(ctx, st, flat, false)
+	gathered, err := rt.gatherRows(ctx, st, rows, false)
 	if err != nil {
 		return nil, err
 	}
-	nTgt := len(st.tgtNames)
-	off := 0
-	for g, rows := range groups {
-		var strategy match.Strategy
-		if len(sts) != 0 {
-			strategy = sts[g]
+	decisions := make([]Decision, len(rows))
+	live := make([]int, 0, len(rows)) // positions of reachable rows
+	for i, row := range rows {
+		if gathered.ok[i] {
+			live = append(live, i)
+		} else {
+			decisions[i] = degradedDecision(st.srcNames, row)
 		}
-		// Pack the reachable rows densely for the decision; lost rows are
-		// answered degraded and do not compete.
-		live := make([]int, 0, len(rows)) // positions within the group
-		for i := range rows {
-			if gathered.ok[off+i] {
-				live = append(live, i)
-			}
-		}
-		decisions := make([]Decision, len(rows))
-		if len(live) > 0 {
-			sub := mat.GetDense(len(live), nTgt)
-			for li, i := range live {
-				copy(sub.Row(li), gathered.fused[off+i])
-			}
-			asn, derr := core.AlignGathered(ctx, sub, st.topK, strategy)
-			mat.PutDense(sub)
-			if derr != nil {
-				return nil, derr
-			}
-			for li, i := range live {
-				decisions[i] = decisionFromRow(st.srcNames, st.tgtNames, rows[i], gathered.fused[off+i], asn[li])
-			}
-		}
-		for i, row := range rows {
-			if !gathered.ok[off+i] {
-				decisions[i] = degradedDecision(st.srcNames, row)
-			}
-		}
-		out[g] = decisions
-		off += len(rows)
 	}
-	return out, nil
+	if len(live) == 0 {
+		return decisions, nil
+	}
+	// Pack the reachable rows densely for the decision.
+	sub := mat.GetDense(len(live), len(st.tgtNames))
+	for li, i := range live {
+		copy(sub.Row(li), gathered.fused[i])
+	}
+	asn, err := core.AlignGathered(ctx, sub, st.topK, decide)
+	mat.PutDense(sub)
+	if err != nil {
+		return nil, err
+	}
+	for li, i := range live {
+		decisions[i] = decisionFromRow(st.srcNames, st.tgtNames, rows[i], gathered.fused[i], asn[li])
+	}
+	return decisions, nil
 }
 
 // AlignGreedy implements Aligner: the precomputed greedy argmaxes live on

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,7 +69,7 @@ func getRaw(t *testing.T, client *http.Client, url string) (int, []byte) {
 // GOMAXPROCS=1/4 determinism suite.
 func TestRouterBitIdentity(t *testing.T) {
 	const n, nparts = 24, 3
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	ctx := context.Background()
 
 	localParts, err := NewPartitions(base, nparts)
@@ -175,7 +176,7 @@ func TestRouterBitIdentity(t *testing.T) {
 // engine version, or that leave a partition uncovered — and must accept
 // duplicate announcements as standbys.
 func TestRouterCoherenceValidation(t *testing.T) {
-	base := literalEngine(coalesceTestMatrix(12))
+	base := literalEngine(tiedTestMatrix(12))
 	ctx := context.Background()
 	cfg := routerTestConfig()
 	cfg.Retry.MaxAttempts = 1
@@ -208,7 +209,7 @@ func TestRouterCoherenceValidation(t *testing.T) {
 	}
 
 	// Different corpus (names fingerprint).
-	other := literalEngine(coalesceTestMatrix(13))
+	other := literalEngine(tiedTestMatrix(13))
 	otherParts, err := NewPartitions(other, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func TestRouterCoherenceValidation(t *testing.T) {
 // TestRouterCandidatesLostPartition pins the candidates contract: a lost
 // partition is a typed error there — the endpoint has no partial shape.
 func TestRouterCandidatesLostPartition(t *testing.T) {
-	base := literalEngine(coalesceTestMatrix(12))
+	base := literalEngine(tiedTestMatrix(12))
 	parts, err := NewPartitions(base, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -268,5 +269,76 @@ func TestRouterCandidatesLostPartition(t *testing.T) {
 
 	if _, err := rt.Candidates(context.Background(), row, 3); !errors.Is(err, ErrPartitionLost) {
 		t.Fatalf("candidates error %v is not ErrPartitionLost", err)
+	}
+}
+
+// deadlineTransport is a LocalTransport that records the deadline of every
+// Gather context (the zero time when the context has none).
+type deadlineTransport struct {
+	LocalTransport
+	mu        sync.Mutex
+	deadlines []time.Time
+}
+
+func (t *deadlineTransport) Gather(ctx context.Context, wantVersion uint64, rows []int, withFeatures bool) (*ShardRows, error) {
+	d, _ := ctx.Deadline()
+	t.mu.Lock()
+	t.deadlines = append(t.deadlines, d)
+	t.mu.Unlock()
+	return t.LocalTransport.Gather(ctx, wantVersion, rows, withFeatures)
+}
+
+// TestRouterGatherHonoursClientDeadline pins the budget contract end to
+// end: behind a server with the production defaults, every replica gather
+// an align request makes runs under a deadline carved from the client's
+// X-Deadline-Ms budget, not a server-side default.
+func TestRouterGatherHonoursClientDeadline(t *testing.T) {
+	const n, budget = 12, 200 * time.Millisecond
+	parts, err := NewPartitions(literalEngine(tiedTestMatrix(n)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*deadlineTransport, len(parts))
+	ts := make([]Transport, len(parts))
+	for i, p := range parts {
+		recs[i] = &deadlineTransport{LocalTransport: LocalTransport{P: p}}
+		ts[i] = recs[i]
+	}
+	rt, err := NewRouter(context.Background(), DefaultRouterConfig(), ts, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	srv := NewServer(DefaultServerConfig(), obs.NewRegistry())
+	srv.SetAligner(rt)
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	resp, body := postAlign(t, hs.Client(), hs.URL,
+		map[string]string{"X-Deadline-Ms": fmt.Sprint(budget.Milliseconds())}, allKeys(n)...)
+	answered := time.Now()
+	if resp.StatusCode != http.StatusOK || body.Degraded {
+		t.Fatalf("align: status %d degraded %v", resp.StatusCode, body.Degraded)
+	}
+	gathers := 0
+	for i, rec := range recs {
+		rec.mu.Lock()
+		deadlines := rec.deadlines
+		rec.mu.Unlock()
+		for _, d := range deadlines {
+			gathers++
+			if d.IsZero() {
+				t.Fatalf("partition %d gather ran without a deadline", i)
+			}
+			// The request began before it was answered, so a deadline
+			// within the budget ends before answered+budget.
+			if d.After(answered.Add(budget)) {
+				t.Fatalf("partition %d gather deadline %v past the answer outlives the %v client budget",
+					i, d.Sub(answered), budget)
+			}
+		}
+	}
+	if gathers == 0 {
+		t.Fatal("align made no replica gathers")
 	}
 }

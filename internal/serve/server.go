@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -39,13 +40,6 @@ type Config struct {
 	DefaultTopK, MaxTopK int
 	// Breaker configures the circuit breaker over the collective path.
 	Breaker BreakerConfig
-	// CoalesceWindow is how long an align request waits for concurrent
-	// requests to merge into one batched collective call; 0 disables
-	// coalescing (every request runs its own decision immediately).
-	CoalesceWindow time.Duration
-	// CoalesceMaxRows flushes a coalescing batch early once this many
-	// source rows have accumulated.
-	CoalesceMaxRows int
 	// CacheSize bounds the versioned result cache (entries); 0 disables it.
 	CacheSize int
 	// Now replaces the clock used for queue-wait accounting and deadline
@@ -57,18 +51,16 @@ type Config struct {
 // DefaultServerConfig returns production-shaped defaults.
 func DefaultServerConfig() Config {
 	return Config{
-		MaxInFlight:     16,
-		MaxQueue:        64,
-		RetryAfter:      time.Second,
-		DefaultTimeout:  5 * time.Second,
-		MaxTimeout:      30 * time.Second,
-		MaxBatch:        256,
-		DefaultTopK:     10,
-		MaxTopK:         100,
-		Breaker:         DefaultBreakerConfig(),
-		CoalesceWindow:  2 * time.Millisecond,
-		CoalesceMaxRows: 256,
-		CacheSize:       4096,
+		MaxInFlight:    16,
+		MaxQueue:       64,
+		RetryAfter:     time.Second,
+		DefaultTimeout: 5 * time.Second,
+		MaxTimeout:     30 * time.Second,
+		MaxBatch:       256,
+		DefaultTopK:    10,
+		MaxTopK:        100,
+		Breaker:        DefaultBreakerConfig(),
+		CacheSize:      4096,
 	}
 }
 
@@ -95,8 +87,7 @@ type Server struct {
 	engineVersion atomic.Uint64
 	stale         atomic.Bool
 
-	coalesce *coalescer
-	cache    *resultCache
+	cache *resultCache
 
 	requests         *obs.Counter
 	fallbacks        *obs.Counter
@@ -156,7 +147,6 @@ func NewServer(cfg Config, reg *obs.Registry) *Server {
 		handlerTime:      reg.Histogram("serve.handler.seconds"),
 	}
 	s.cache = newResultCache(cfg.CacheSize, reg)
-	s.coalesce = newCoalescer(cfg.CoalesceWindow, cfg.CoalesceMaxRows, cfg.DefaultTimeout, reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -165,8 +155,39 @@ func NewServer(cfg Config, reg *obs.Registry) *Server {
 	mux.Handle("GET /v1/entity/{id}/candidates", s.guard(http.HandlerFunc(s.handleCandidates)))
 	mux.Handle("POST /v1/mutate", s.guard(http.HandlerFunc(s.handleMutate)))
 	mux.Handle("POST /v1/shard", s.guard(http.HandlerFunc(s.handleShard)))
-	s.http = &http.Server{Handler: mux}
+	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
+}
+
+// readHeaderTimeout bounds how long a connection may take to send request
+// headers. Headers arrive before admission, so this guards connection
+// slots; the body, read after admission, is bounded by the request's own
+// deadline instead (readBody).
+const readHeaderTimeout = 10 * time.Second
+
+// readBody runs read, the handler's one pass over the request body, under
+// the request's deadline: a client trickling its body cannot hold an
+// admission slot past its budget. The deadline is lifted once the body is
+// read. Left armed, it would fire in the server's background connection
+// read and cancel the request as context.Canceled before the handler's
+// own deadline reports context.DeadlineExceeded. Writers without read
+// deadlines (httptest recorders) read unbounded; checking for the method
+// directly, unlike http.ResponseController, costs them no allocation.
+//
+// A body that fails to read or decode marks the response Connection:
+// close. Otherwise net/http would drain what is left of it before
+// answering, and for a trickling client that wait has no deadline.
+func readBody(w http.ResponseWriter, r *http.Request, read func() error) error {
+	if deadline, ok := r.Context().Deadline(); ok {
+		if c, ok := w.(interface{ SetReadDeadline(time.Time) error }); ok && c.SetReadDeadline(deadline) == nil {
+			defer c.SetReadDeadline(time.Time{})
+		}
+	}
+	err := read()
+	if err != nil {
+		w.Header().Set("Connection", "close")
+	}
+	return err
 }
 
 // SetAligner installs the query engine and flips the server ready. It is
@@ -272,7 +293,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // guard wraps an alignment handler with the robustness middleware, applied
-// outermost first: panic isolation, readiness, admission, deadline.
+// outermost first: panic isolation, readiness, admission, deadline. The
+// slot is taken before the body is read, so the handler reads it through
+// readBody, under the same deadline as the rest of the request.
 func (s *Server) guard(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Inc()
@@ -318,10 +341,11 @@ func (s *Server) guard(next http.Handler) http.Handler {
 		defer s.handlerTime.Time()()
 
 		// The budget is end-to-end from the client's perspective: time
-		// already burnt waiting for an admission slot comes out of it, so a
-		// handler fanning out downstream (coalescer, replica gathers) can
-		// never consume more than the granted deadline. A budget fully
-		// consumed in the queue is answered 504 without running the handler.
+		// already burnt waiting for an admission slot comes out of it, so
+		// neither the body read (readBody) nor a handler fanning out to
+		// replica gathers can hold the slot past the granted deadline. A
+		// budget fully consumed in the queue is answered 504 without running
+		// the handler.
 		remaining := budget - waited
 		if remaining <= 0 {
 			s.reg.Counter("serve.deadline.exhausted").Inc()
@@ -414,22 +438,28 @@ const (
 	maxBodyEnvelope     = 4 << 10
 )
 
-// decodeBody decodes r's JSON body into v under the body cap. On failure it
-// writes the error response — 413 past the cap, 400 for malformed JSON —
+// decodeBody decodes r's JSON body into v under the body cap and the
+// request deadline. On failure it writes the error response — 413 past the
+// cap, 408 when the body outlives the deadline, 400 for malformed JSON —
 // and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	limit := int64(s.cfg.MaxBatch)*maxBodyBytesPerItem + maxBodyEnvelope
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	err := readBody(w, r, func() error {
+		return json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	})
 	if err == nil {
 		return true
 	}
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	switch {
+	case errors.As(err, &tooLarge):
 		writeJSON(w, http.StatusRequestEntityTooLarge,
 			errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)})
-		return false
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeJSON(w, http.StatusRequestTimeout, errorBody{Error: "request body not received within the deadline"})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON body: " + err.Error()})
 	}
-	writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed JSON body: " + err.Error()})
 	return false
 }
 
@@ -522,7 +552,8 @@ func (s *Server) resolveStrategy(a Aligner, name string) (string, error) {
 }
 
 // alignCollective answers the collective decision for rows through the
-// result cache and the coalescer. Only default-strategy requests touch the
+// result cache, running a miss on the request's own goroutine under the
+// request's own context. Only default-strategy requests touch the
 // cache — per-row keys mean per-row answers, and a non-default strategy's
 // answer is a different function of the same row. Degraded fallback answers
 // never reach here, so the cache only ever holds full-fidelity collective
@@ -534,20 +565,7 @@ func (s *Server) alignCollective(ctx context.Context, box *alignerBox, rows []in
 			return results, nil
 		}
 	}
-	var results []Decision
-	var err error
-	if s.coalesce != nil {
-		select {
-		case res := <-s.coalesce.submit(box, rows, strategy):
-			results, err = res.decisions, res.err
-		case <-ctx.Done():
-			// The batch keeps running for its other members; this caller's
-			// budget is spent. The buffered done channel absorbs the result.
-			return nil, ctx.Err()
-		}
-	} else {
-		results, err = box.a.AlignCollective(ctx, rows, strategy)
-	}
+	results, err := box.a.AlignCollective(ctx, rows, strategy)
 	if err == nil && cacheable {
 		s.cacheAdmit(box.version, rows, results)
 	}
@@ -630,7 +648,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			errorBody{Error: "shard protocol disabled: daemon is not a replica"})
 		return
 	}
-	msgType, payload, err := readWireFrame(http.MaxBytesReader(w, r.Body, maxWirePayload+wireHeaderLen+4))
+	var msgType byte
+	var payload []byte
+	err := readBody(w, r, func() (err error) {
+		msgType, payload, err = readWireFrame(http.MaxBytesReader(w, r.Body, maxWirePayload+wireHeaderLen+4))
+		return err
+	})
 	if err != nil {
 		s.reg.Counter("serve.shard.bad_frames").Inc()
 		writeShardFrame(w, wireMsgError, encodeWireError(err))

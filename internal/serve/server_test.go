@@ -119,6 +119,21 @@ func alignBody(keys ...string) *bytes.Reader {
 	return bytes.NewReader(b)
 }
 
+// postAlignRaw returns the raw response bytes of one align POST.
+func postAlignRaw(t *testing.T, client *http.Client, url string, keys ...string) (int, []byte) {
+	t.Helper()
+	resp, err := client.Post(url+"/v1/align", "application/json", alignBody(keys...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
 func postAlign(t *testing.T, client *http.Client, url string, hdr map[string]string, keys ...string) (*http.Response, alignResponse) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/align", alignBody(keys...))
@@ -147,10 +162,6 @@ func postAlign(t *testing.T, client *http.Client, url string, hdr map[string]str
 func testServerConfig() Config {
 	cfg := DefaultServerConfig()
 	cfg.Breaker.Now = func() time.Time { return time.Unix(0, 0) }
-	// The lifecycle/flood/breaker tests pin the direct execution path:
-	// gated stubs count concurrent AlignCollective calls, which coalescing
-	// deliberately serializes. The coalescer has its own suite.
-	cfg.CoalesceWindow = 0
 	return cfg
 }
 

@@ -36,11 +36,11 @@ func newLocalRouter(t *testing.T, base *Engine, nparts int) (*Router, []*Partiti
 
 // TestShardedEngineBitIdentity pins the sharded topology's contract: for
 // any partition count, a Router over in-process partitions answers every
-// query — collective, greedy, grouped, candidates — bit-identically to the
+// query — collective, greedy, candidates — bit-identically to the
 // unsharded engine. Runs in the GOMAXPROCS=1/4 determinism suite.
 func TestShardedEngineBitIdentity(t *testing.T) {
 	const n = 30
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(13))
 
@@ -114,28 +114,6 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 				t.Fatalf("%d partitions candidates row %d:\n got %+v\nwant %+v", nparts, rows[0], gotC, wantC)
 			}
 		}
-
-		// Grouped execution (the coalescer path) against per-group calls.
-		groups := [][]int{{0, 5, 9}, {2}, {}, {7, 1}}
-		gotG, err := rt.AlignCollectiveGroups(ctx, groups, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for g, rows := range groups {
-			if len(rows) == 0 {
-				if len(gotG[g]) != 0 {
-					t.Fatalf("%d partitions: empty group got %+v", nparts, gotG[g])
-				}
-				continue
-			}
-			want, err := base.AlignCollective(ctx, rows, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotG[g], want) {
-				t.Fatalf("%d partitions group %d:\n got %+v\nwant %+v", nparts, g, gotG[g], want)
-			}
-		}
 	}
 
 	if _, err := NewPartitions(base, 0); err == nil {
@@ -147,7 +125,7 @@ func TestShardedEngineBitIdentity(t *testing.T) {
 // under concurrent load answers byte-identically to the unsharded one.
 func TestShardedServerResponseBitIdentity(t *testing.T) {
 	const n = 24
-	base := literalEngine(coalesceTestMatrix(n))
+	base := literalEngine(tiedTestMatrix(n))
 	rt, _ := newLocalRouter(t, base, 4)
 
 	mk := func(a Aligner) (*Server, *httptest.Server) {

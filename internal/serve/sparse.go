@@ -114,25 +114,6 @@ func (e *SparseEngine) AlignCollective(ctx context.Context, rows []int, strategy
 	return out, nil
 }
 
-// AlignCollectiveGroups implements GroupAligner. Sparse groups need no
-// shared gather — candidate rows are referenced, not copied — so grouped
-// execution is a loop over the per-group decisions.
-func (e *SparseEngine) AlignCollectiveGroups(ctx context.Context, groups [][]int, strategies []string) ([][]Decision, error) {
-	out := make([][]Decision, len(groups))
-	for g, rows := range groups {
-		strategy := ""
-		if len(strategies) != 0 {
-			strategy = strategies[g]
-		}
-		d, err := e.AlignCollective(ctx, rows, strategy)
-		if err != nil {
-			return nil, err
-		}
-		out[g] = d
-	}
-	return out, nil
-}
-
 // AlignGreedy implements Aligner from the precomputed candidate argmaxes.
 func (e *SparseEngine) AlignGreedy(rows []int) []Decision {
 	out := make([]Decision, len(rows))

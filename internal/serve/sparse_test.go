@@ -53,7 +53,7 @@ func literalSparseEngine(fused *mat.Dense) *SparseEngine {
 // field for field. Runs in the GOMAXPROCS=1/4 determinism suite.
 func TestSparseEngineBitIdentity(t *testing.T) {
 	const n = 18
-	fused := coalesceTestMatrix(n)
+	fused := tiedTestMatrix(n)
 	dense := literalEngine(fused)
 	sparse := literalSparseEngine(fused)
 	ctx := context.Background()
@@ -90,18 +90,6 @@ func TestSparseEngineBitIdentity(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("candidates row %d k %d:\n got %+v\nwant %+v", row, k, got, want)
 			}
-		}
-	}
-	// Grouped execution agrees with per-group calls.
-	groups := [][]int{{0, 4}, {2}, {9, 1, 5}}
-	gotG, err := sparse.AlignCollectiveGroups(ctx, groups, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g, rows := range groups {
-		want, _ := sparse.AlignCollective(ctx, rows, "")
-		if !reflect.DeepEqual(gotG[g], want) {
-			t.Fatalf("group %d mismatch", g)
 		}
 	}
 }

@@ -97,8 +97,8 @@ func staticStrategyEngine(t *testing.T) *Engine {
 	return e
 }
 
-// TestAlignGroupCache pins the coalesced-group cache admission added in this
-// PR: a multi-source batch admits its unilateral rows individually, and a
+// TestAlignGroupCache pins multi-source cache admission: a multi-source
+// batch admits its unilateral rows individually, and a
 // later batch whose rows all hit with pairwise-distinct targets is served
 // from cache bit-identically — without touching the engine again.
 func TestAlignGroupCache(t *testing.T) {
